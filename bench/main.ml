@@ -1089,33 +1089,19 @@ let timing_tests () =
     | Some n -> Tree.size p.Problem.tree <= n
     | None -> true
   in
-  let solver_tests =
-    List.concat_map
-      (fun (s : Solver.t) ->
-        List.filter_map
-          (fun (problem, label) ->
-            if not (fits s problem) then None
-            else
-              Some
-                (Test.make
-                   ~name:(Printf.sprintf "%s/%s" s.Solver.name label)
-                   (Staged.stage (fun () ->
-                        s.Solver.solve problem Solver.default_request))))
-          (instance_for s))
-      (Registry.all ())
-  in
-  solver_tests
-  @ [
-      (* The design choice behind the DP's speed: placements as catenable
-         lists (O(1) append) vs naive list concatenation (O(n)). *)
-      (let chunks = List.init 200 (fun i -> Clist.of_list [ (i, i) ]) in
-       Test.make ~name:"clist/200-appends"
-         (Staged.stage (fun () ->
-              List.fold_left Clist.append Clist.empty chunks)));
-      (let chunks = List.init 200 (fun i -> [ (i, i) ]) in
-       Test.make ~name:"list/200-appends"
-         (Staged.stage (fun () -> List.fold_left ( @ ) [] chunks)));
-    ]
+  List.concat_map
+    (fun (s : Solver.t) ->
+      List.filter_map
+        (fun (problem, label) ->
+          if not (fits s problem) then None
+          else
+            Some
+              (Test.make
+                 ~name:(Printf.sprintf "%s/%s" s.Solver.name label)
+                 (Staged.stage (fun () ->
+                      s.Solver.solve problem Solver.default_request))))
+        (instance_for s))
+    (Registry.all ())
 
 (* --- Large-N scaling rows (BENCH_scaling.json) --- *)
 

@@ -11,7 +11,7 @@ let () =
   let total =
     if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 4000
   in
-  let fails = ref 0 and runs = ref 0 in
+  let fails = ref 0 and runs = ref 0 and over_budget = ref 0 in
   let report name t msg =
     incr fails;
     Printf.printf "FAIL %s on %s: %s\n%!" name (Tree.to_string t) msg
@@ -40,19 +40,33 @@ let () =
          report "dp_withpre" t (Printf.sprintf "w=%d %f vs %f" w d.Dp_withpre.cost bc)
      | None, Some _ | Some _, None -> report "dp_withpre-feas" t ""
      | _ -> ());
-    (* dp_power vs brute with random ladder *)
-    let w1 = 2 + Rng.int rng 4 in
-    let w2 = w1 + 1 + Rng.int rng 5 in
-    let modes = Modes.make [ w1; w2 ] in
+    (* dp_power vs brute with a random ladder of 2-4 modes or, every
+       tenth instance, 8 modes with the pre-existing servers re-marked
+       at three initial modes — so the uniform, tight and wide key
+       layouts all meet the oracle. *)
+    let m = if seed mod 10 = 0 then 8 else 2 + Rng.int rng 3 in
+    let ladder = Array.make m (2 + Rng.int rng 4) in
+    for i = 1 to m - 1 do
+      ladder.(i) <- ladder.(i - 1) + 1 + Rng.int rng 3
+    done;
+    let modes = Modes.make (Array.to_list ladder) in
+    let tp =
+      if m < 8 then t
+      else
+        Tree.with_pre_existing t
+          (List.mapi (fun i j -> (j, [| 1; 4; 8 |].(i mod 3)))
+             (Rng.sample_without_replacement rng (min 6 nodes) nodes))
+    in
+    if Dp_power.packed_bits tp ~modes = None then incr over_budget;
     let power = Power.make ~static:(Rng.float rng 5.) ~alpha:(2. +. Rng.float rng 1.) () in
-    let mcost = Cost.modal_uniform ~modes:2 ~create:(Rng.float rng 1.)
+    let mcost = Cost.modal_uniform ~modes:m ~create:(Rng.float rng 1.)
         ~delete:(Rng.float rng 1.) ~changed:(Rng.float rng 0.5) in
     let bound = if Rng.bool rng then infinity else 1. +. Rng.float rng 8. in
-    (match (Dp_power.solve t ~modes ~power ~cost:mcost ~bound (),
-            Brute.min_power t ~modes ~power ~cost:mcost ~bound ()) with
+    (match (Dp_power.solve tp ~modes ~power ~cost:mcost ~bound (),
+            Brute.min_power tp ~modes ~power ~cost:mcost ~bound ()) with
      | Some d, Some (bp, _) when abs_float (d.Dp_power.power -. bp) > 1e-6 ->
-         report "dp_power" t (Printf.sprintf "%f vs %f" d.Dp_power.power bp)
-     | None, Some _ | Some _, None -> report "dp_power-feas" t ""
+         report "dp_power" tp (Printf.sprintf "%f vs %f" d.Dp_power.power bp)
+     | None, Some _ | Some _, None -> report "dp_power-feas" tp ""
      | _ -> ());
     (* heuristics: sandwiched between optimum and seed, always valid *)
     (match (Heuristics_cost.solve t ~w ~cost (), Dp_withpre.solve t ~w ~cost) with
@@ -120,6 +134,7 @@ let () =
      | None, Some _ | Some _, None -> report "multiple-feas" t ""
      | _ -> ())
   done;
-  Printf.printf "fuzz: %d instances, %d failures, %.1fs\n" !runs !fails
-    (Sys.time () -. t0);
+  Printf.printf
+    "fuzz: %d instances (%d over the packed key budget), %d failures, %.1fs\n"
+    !runs !over_budget !fails (Sys.time () -. t0);
   if !fails > 0 then exit 1

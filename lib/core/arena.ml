@@ -1,7 +1,10 @@
-(* Flat arena for catenable placement lists — the unboxed counterpart
-   of {!Clist} used by the packed DP cores. A placement is an [int]
-   index into the arena; cell 0 is the shared empty list. Each cell is
-   a pair of ints across two parallel arrays:
+(* Flat arena for catenable placement lists, carrying the replica
+   placement of every DP table cell. The paper's pseudo-code copies an
+   O(N) request vector on every improvement and §3.3 hoists those
+   copies out of the inner loop; here extending a placement is one
+   O(1) push and full materialization happens once, at the root. A
+   placement is an [int] index into the arena; cell 0 is the shared
+   empty list. Each cell is a pair of ints across two parallel arrays:
 
      leaf (node, flow):  fst = -(node + 1)   snd = flow
      cat  (left, right): fst = left index    snd = right index
@@ -11,8 +14,7 @@
    doubles the backing arrays, amortized and absent once the arena has
    reached steady size — which is what the zero-alloc bench assert
    measures). Structure sharing is free: a cell index can appear as a
-   child of any number of later cells, exactly like the boxed [Clist]
-   spines it replaces.
+   child of any number of later cells.
 
    Arenas are single-writer: the parallel sibling fan-out gives each
    domain a private arena and {!graft}s the results back into the

@@ -1,12 +1,15 @@
-(** Flat arena for catenable placement lists — the unboxed counterpart
-    of {!Clist} used by the packed DP cores.
+(** Flat arena for catenable placement lists — how every dynamic
+    program of this library ({!Dp_power}, {!Dp_withpre}, {!Dp_qos},
+    {!Dp_nopre}, {!Multiple}) carries the placement realizing each
+    table cell. This is the paper's §3.3 "copy outside the loop"
+    device: extending a placement is an O(1) push, and the full list
+    is materialized once, at the root.
 
     A placement is an [int] handle into the arena; [empty] ([= 0]) is
     the shared empty list. {!snoc} and {!append} are O(1) pushes into
     preallocated parallel int arrays, so a DP merge inner loop working
-    over a pre-grown arena allocates zero GC words; structure sharing
-    works exactly as with boxed [Clist] spines (a handle may appear
-    under any number of later cells).
+    over a pre-grown arena allocates zero GC words; structure is shared
+    (a handle may appear under any number of later cells).
 
     Arenas are single-writer. The parallel sibling fan-out gives each
     domain a private arena and copies results back with {!graft};

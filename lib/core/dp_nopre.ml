@@ -1,29 +1,26 @@
-type cell = { flow : int; placed : (int * int) Clist.t }
+(* Cells carry their placement as an [Arena] handle of (node, flow)
+   elements; one arena serves a whole solve. *)
+type cell = { flow : int; placed : int }
 
 type result = { solution : Solution.t; servers : int }
 
 (* Table for a region: cells.(k) = flow-minimal placement with exactly k
-   replicas in the region, or None. All stored flows are <= w. *)
+   replicas in the region, or None. All stored flows are <= w. The
+   placement is only built (pushed into the arena) when it wins. *)
 
-let better current candidate =
-  match current with
-  | None -> true
-  | Some c -> candidate.flow < c.flow
-
-let set table k candidate =
-  if better table.(k) candidate then table.(k) <- Some candidate
+let better table k flow =
+  match table.(k) with None -> true | Some c -> flow < c.flow
 
 (* Root-to-leaves recursion; returns the table of node j over replicas
    placed strictly below j. *)
-let rec table_of tree ~w j =
+let rec table_of arena tree ~w j =
   let start = Array.make 1 None in
   let client = Tree.client_load tree j in
-  if client <= w then
-    start.(0) <- Some { flow = client; placed = Clist.empty };
-  List.fold_left (merge tree ~w) start (Tree.children tree j)
+  if client <= w then start.(0) <- Some { flow = client; placed = Arena.empty };
+  List.fold_left (merge arena tree ~w) start (Tree.children tree j)
 
-and merge tree ~w left c =
-  let sub = table_of tree ~w c in
+and merge arena tree ~w left c =
+  let sub = table_of arena tree ~w c in
   (* Extend the child's table with the "replica at c" decision. *)
   let extended = Array.make (Array.length sub + 1) None in
   Array.iteri
@@ -31,9 +28,14 @@ and merge tree ~w left c =
       match cell_opt with
       | None -> ()
       | Some cell ->
-          set extended k cell;
-          set extended (k + 1)
-            { flow = 0; placed = Clist.snoc cell.placed (c, cell.flow) })
+          if better extended k cell.flow then extended.(k) <- Some cell;
+          if better extended (k + 1) 0 then
+            extended.(k + 1) <-
+              Some
+                {
+                  flow = 0;
+                  placed = Arena.snoc arena cell.placed ~node:c ~flow:cell.flow;
+                })
     sub;
   let merged = Array.make (Array.length left + Array.length extended - 1) None in
   Array.iteri
@@ -47,23 +49,25 @@ and merge tree ~w left c =
               | None -> ()
               | Some rc ->
                   let flow = lc.flow + rc.flow in
-                  if flow <= w then
-                    set merged (k1 + k2)
-                      { flow; placed = Clist.append lc.placed rc.placed })
+                  if flow <= w && better merged (k1 + k2) flow then
+                    merged.(k1 + k2) <-
+                      Some
+                        { flow; placed = Arena.append arena lc.placed rc.placed })
             extended)
     left;
   merged
 
-let root_table tree ~w =
+let root_table arena tree ~w =
   if w <= 0 then invalid_arg "Dp_nopre: w must be positive";
-  table_of tree ~w (Tree.root tree)
+  table_of arena tree ~w (Tree.root tree)
 
 module Span = Replica_obs.Span
 
 let solve tree ~w =
   let tracing = Span.enabled () in
   if tracing then Span.begin_span "dp_nopre.solve";
-  let table = root_table tree ~w in
+  let arena = Arena.create () in
+  let table = root_table arena tree ~w in
   let root = Tree.root tree in
   let best = ref None in
   let consider servers placed =
@@ -77,14 +81,15 @@ let solve tree ~w =
       | None -> ()
       | Some cell ->
           if cell.flow = 0 then consider k cell.placed
-          else consider (k + 1) (Clist.snoc cell.placed (root, cell.flow)))
+          else
+            consider (k + 1)
+              (Arena.snoc arena cell.placed ~node:root ~flow:cell.flow))
     table;
   let result =
     match !best with
     | None -> None
     | Some (servers, placed) ->
-        let nodes = List.map fst (Clist.to_list placed) in
-        Some { solution = Solution.of_nodes nodes; servers }
+        Some { solution = Solution.of_nodes (Arena.nodes arena placed); servers }
   in
   if tracing then
     Span.end_span
@@ -98,4 +103,5 @@ let solve tree ~w =
   result
 
 let min_flow_per_count tree ~w =
-  Array.map (Option.map (fun c -> c.flow)) (root_table tree ~w)
+  let table = root_table (Arena.create ()) tree ~w in
+  Array.map (Option.map (fun c -> c.flow)) table

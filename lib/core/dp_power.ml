@@ -3,17 +3,6 @@ let src =
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-module Key = struct
-  type t = int array
-
-  let equal (a : int array) b = a = b
-
-  let hash a =
-    Array.fold_left (fun h x -> (h * 31) + x + 1) 17 a land max_int
-end
-
-module Tbl = Hashtbl.Make (Key)
-
 type result = {
   solution : Solution.t;
   power : float;
@@ -67,53 +56,31 @@ let h_products =
    same power, same influence upstream), so one representative
    placement per key suffices.
 
-   Two concrete representations implement that abstract key: the
-   {e packed} fast path ({!Packed_key}: the whole vector bit-packed
-   into one unboxed int, placements as {!Arena} handles, tables as
-   {!Int_table}) and the {e wide} fallback (this historical [int
-   array] / [Clist] / polymorphic-[Hashtbl] form) used when the
-   instance's field widths cannot fit 62 bits. Both produce the same
-   optimum, the same counter totals, and the same set of table keys;
-   only the tie-broken representative placements may differ. *)
+   Tables are built by one traversal over the {e packed} form of that
+   key ({!Packed_key}: the whole vector bit-packed into one unboxed
+   int, tables as {!Int_table}). Only when even the tight layout
+   exceeds 62 bits does a small sequential fallback run the same
+   convolution over [int array] keys. Both carry placements as
+   {!Arena} handles, hand their root table to one shared root scan,
+   and produce the same optimum, the same counter totals and the same
+   set of table keys; only the tie-broken representative placements
+   may differ. *)
 
 let state_size m = m + (m * m)
 
-let flow_of key = key.(Array.length key - 1)
-
-let bump key ~m ~initial ~operating =
-  let s = Array.copy key in
-  let idx =
-    match initial with
-    | None -> operating - 1
-    | Some i0 -> m + ((i0 - 1) * m) + (operating - 1)
-  in
-  s.(idx) <- s.(idx) + 1;
-  s
-
-(* Scratch variant: overwrite [dst] instead of allocating — the wide
-   enumeration path extends every root cell transiently, so one
-   preallocated key serves all candidates. *)
-let bump_into dst key ~m ~initial ~operating =
-  Array.blit key 0 dst 0 (Array.length key);
-  let idx =
-    match initial with
-    | None -> operating - 1
-    | Some i0 -> m + ((i0 - 1) * m) + (operating - 1)
-  in
-  dst.(idx) <- dst.(idx) + 1
-
-let set tbl key placed ~created =
-  if not (Tbl.mem tbl key) then begin
-    Tbl.replace tbl key placed;
-    incr created
-  end
+(* Vector index of the count a server adds: a new server ([i0 = 0]) at
+   its operating mode, or a reused one of initial mode [i0]. *)
+let field ~m ~i0 ~operating =
+  if i0 = 0 then operating - 1 else m + ((i0 - 1) * m) + (operating - 1)
 
 let initial_mode_default tree j =
   match Tree.initial_mode tree j with Some m -> m | None -> 1
 
-(* Pre-existing servers per initial mode — hoisted out of the
-   per-candidate tally computation (it used to rebuild the whole
-   [Tree.pre_existing] list for every root cell). *)
+(* Initial mode of a pre-existing node, 0 for any other node. *)
+let initial_of tree j =
+  if Tree.is_pre_existing tree j then initial_mode_default tree j else 0
+
+(* Pre-existing servers per initial mode. *)
 let available_of tree ~m =
   let available = Array.make m 0 in
   List.iter
@@ -127,31 +94,33 @@ let available_of tree ~m =
    field sized for the node count N): the layout then depends only on
    (N, M, W), so epoch views of one network share it and the
    incremental memo survives pre-existing-set churn. If that exceeds
-   the 62-bit budget, retry with tight per-field maxima — e_{i0,op}
-   can never exceed the number of pre-existing servers initially at
-   mode i0 (0 bits when there are none). Only if even the tight
-   layout overflows does the solver fall back to the wide keys. *)
+   the 62-bit budget, retry with tight per-field maxima — n_op can
+   never exceed N - E (every new server sits on one of the N - E nodes
+   that are not pre-existing), e_{i0,op} never the number of
+   pre-existing servers initially at mode i0 (0 bits when there are
+   none). Only if even the tight layout overflows does the solver fall
+   back to the wide keys. Returns the tier, the key width in bits (for
+   the wide tier: the width the tight layout would have needed) and
+   the layout. *)
 let layout_for tree ~modes =
-  let m = Modes.count modes in
-  let n = Tree.size tree in
-  let w = Modes.max_capacity modes in
-  let nf = m + (m * m) in
-  match Packed_key.make ~m ~count_max:(Array.make nf n) ~flow_max:w with
-  | Some l -> Some l
-  | None ->
-      let e_counts = Array.make m 0 in
-      List.iter
-        (fun j ->
-          let i0 = initial_mode_default tree j in
-          e_counts.(i0 - 1) <- e_counts.(i0 - 1) + 1)
-        (Tree.pre_existing tree);
-      let tight =
-        Array.init nf (fun i -> if i < m then n else e_counts.((i - m) / m))
+  let m = Modes.count modes and n = Tree.size tree in
+  let nf = state_size m and flow_max = Modes.max_capacity modes in
+  match Packed_key.make ~m ~count_max:(Array.make nf n) ~flow_max with
+  | Some l -> ("uniform", Packed_key.total_bits l, Some l)
+  | None -> (
+      let available = available_of tree ~m in
+      let fresh = n - Array.fold_left ( + ) 0 available in
+      let count_max =
+        Array.init nf (fun i ->
+            if i < m then fresh else available.((i - m) / m))
       in
-      Packed_key.make ~m ~count_max:tight ~flow_max:w
+      match Packed_key.make ~m ~count_max ~flow_max with
+      | Some l -> ("tight", Packed_key.total_bits l, Some l)
+      | None -> ("wide", Packed_key.width ~count_max ~flow_max, None))
 
 let packed_bits tree ~modes =
-  Option.map Packed_key.total_bits (layout_for tree ~modes)
+  let _, _, lay = layout_for tree ~modes in
+  Option.map Packed_key.total_bits lay
 
 (* Dominance pruning: among cells with identical count entries
    (n_1..n_M, e_11..e_MM), keep only the one with minimal flow.
@@ -189,362 +158,13 @@ let packed_bits tree ~modes =
    diagonal), which is exactly the unsoundness of §4.3's literal
    flow-minimal table documented in DESIGN.md — hence pruning defaults
    to on only where the argument above applies, and stays overridable
-   for differential testing. *)
-let prune_dominated ~m tbl =
-  let sm = state_size m in
-  if Tbl.length tbl <= 1 then tbl
-  else begin
-    let tracing = Span.enabled () in
-    if tracing then Span.begin_span "dp_power.prune";
-    let best = Tbl.create (Tbl.length tbl) in
-    Tbl.iter
-      (fun key _ ->
-        let counts = Array.sub key 0 sm in
-        match Tbl.find_opt best counts with
-        | Some k0 when flow_of k0 <= flow_of key -> ()
-        | Some _ | None -> Tbl.replace best counts key)
-      tbl;
-    let dropped = Tbl.length tbl - Tbl.length best in
-    let result =
-      if dropped = 0 then tbl
-      else begin
-        Stats_counters.add c_pruned dropped;
-        let out = Tbl.create (Tbl.length best) in
-        Tbl.iter (fun _ key -> Tbl.replace out key (Tbl.find tbl key)) best;
-        out
-      end
-    in
-    if tracing then
-      Span.end_span
-        ~args:
-          [ ("cells_in", Span.Int (Tbl.length tbl)); ("pruned", Span.Int dropped) ]
-        ();
-    result
-  end
+   for differential testing.
 
-(* Incremental re-solving (same device as Dp_withpre): a memo caches
-   every extended child table keyed by the child's subtree fingerprint,
-   and every prefix of every node's child-merge fold keyed by a
-   fingerprint chain. An epoch re-solve then recomputes only the tables
-   under demand that actually moved; results are bit-identical to a
-   memo-less solve. Tables are never mutated after construction, so
-   sharing them across solves is safe. The memo forces the sequential
-   merge path (no [Par] fan-out — the cache is not domain-safe).
-
-   A memo caches tables in whichever representation the instance
-   resolves to; the packed layout's field widths are part of the memo
-   key, so a layout change (e.g. the mode ladder or tree size changed)
-   resets the cache rather than mixing incomparable keys. Packed
-   placements live in the memo's arena, compacted after eviction once
-   it outgrows [compact_at]. *)
-type tbl_repr = Twide of (int * int) Clist.t Tbl.t | Tpacked of Int_table.t
-
-type memo = {
-  mutable gen : int;
-  mutable memo_key : (int list * bool) option;
-      (* tables depend on the mode ladder and the prune flag *)
-  mutable m_layout : Packed_key.layout option;
-      (* layout of cached packed tables; [None] = wide representation *)
-  prefixes : (int * int64, entry) Hashtbl.t;
-  ext_cache : (int * int64, entry) Hashtbl.t;
-  m_arena : Arena.t;
-  mutable compact_at : int;
-}
-
-and entry = { mutable stamp : int; table : tbl_repr }
-
-let memo () =
-  {
-    gen = 0;
-    memo_key = None;
-    m_layout = None;
-    prefixes = Hashtbl.create 512;
-    ext_cache = Hashtbl.create 512;
-    m_arena = Arena.create ();
-    compact_at = 1 lsl 16;
-  }
-
-let memo_size m = Hashtbl.length m.prefixes + Hashtbl.length m.ext_cache
-
-let fp_seed client =
-  Tree.combine_fingerprints 0x9E6C63D0876A9A35L (Int64.of_int client)
-
-let wide_entry = function
-  | { table = Twide t; _ } -> Some t
-  | { table = Tpacked _; _ } -> None
-
-let packed_entry = function
-  | { table = Tpacked t; _ } -> Some t
-  | { table = Twide _; _ } -> None
-(* ------------------------------------------------------------------ *)
-(* Wide (int array / Clist / Hashtbl) fallback path.                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Table of node j over servers strictly below j: key -> placement.
-   [domains > 1] fans sibling subtrees out over OCaml 5 domains at the
-   first node with several children; each child's table is a pure
-   function of its subtree and is built sequentially inside its domain,
-   and the reduction over child tables below keeps the sequential
-   child order — so the result is bit-identical to [domains = 1]. *)
-(* Per-node spans only for subtrees of at least this many nodes —
-   same rationale as [Dp_withpre.span_min_subtree]: the packed kernels
-   made small-subtree merges cheaper than the span bookkeeping. *)
-let span_min_subtree = 16
-
-let rec table_of ctx tree ~modes ~prune ~domains j =
-  if not (Span.enabled () && Tree.subtree_size tree j >= span_min_subtree)
-  then node_table ctx tree ~modes ~prune ~domains j
-  else begin
-    Span.begin_span "dp_power.node";
-    let tbl =
-      try node_table ctx tree ~modes ~prune ~domains j
-      with e ->
-        Span.end_span ();
-        raise e
-    in
-    Span.end_span
-      ~args:
-        [
-          ("node", Span.Int j);
-          ("subtree_size", Span.Int (Tree.subtree_size tree j));
-          ("cells", Span.Int (Tbl.length tbl));
-        ]
-      ();
-    tbl
-  end
-
-and node_table ctx tree ~modes ~prune ~domains j =
-  let m = Modes.count modes in
-  let w = Modes.max_capacity modes in
-  let start = Tbl.create 16 in
-  let client = Tree.client_load tree j in
-  if client <= w then begin
-    let key = Array.make (state_size m + 1) 0 in
-    key.(state_size m) <- client;
-    Tbl.replace start key Clist.empty;
-    Stats_counters.incr c_cells
-  end;
-  let children = Tree.children tree j in
-  match ctx with
-  | None ->
-      let extended_tables =
-        match children with
-        | [] -> []
-        | [ c ] -> [ extended_of ctx tree ~modes ~prune ~domains c ]
-        | _ :: _ :: _ when domains > 1 ->
-            Par.map ~domains
-              (fun c -> extended_of None tree ~modes ~prune ~domains:1 c)
-              children
-        | _ ->
-            List.map
-              (fun c -> extended_of ctx tree ~modes ~prune ~domains:1 c)
-              children
-      in
-      List.fold_left (merge ~modes ~prune) start extended_tables
-  | Some ((mm, fps) as c) -> (
-      match children with
-      | [] -> start
-      | _ ->
-          let arr = Array.of_list children in
-          let k = Array.length arr in
-          let keys = Array.make (k + 1) (fp_seed client) in
-          for i = 1 to k do
-            keys.(i) <- Tree.combine_fingerprints keys.(i - 1) fps.(arr.(i - 1))
-          done;
-          let best = ref 0 and acc = ref start in
-          (try
-             for i = k downto 1 do
-               match Hashtbl.find_opt mm.prefixes (j, keys.(i)) with
-               | Some e -> (
-                   match wide_entry e with
-                   | Some t ->
-                       e.stamp <- mm.gen;
-                       best := i;
-                       acc := t;
-                       raise Exit
-                   | None -> ())
-               | None -> ()
-             done
-           with Exit -> ());
-          if !best > 0 && !best < k then Stats_counters.incr c_memo_partial;
-          if Span.enabled () then
-            Span.add_arg "memo"
-              (Span.Str
-                 (if !best = k then "hit"
-                  else if !best > 0 then "partial"
-                  else "miss"));
-          for i = !best + 1 to k do
-            acc :=
-              merge ~modes ~prune !acc
-                (extended_cached c tree ~modes ~prune arr.(i - 1));
-            Hashtbl.replace mm.prefixes (j, keys.(i))
-              { stamp = mm.gen; table = Twide !acc }
-          done;
-          !acc)
-
-(* Extended child tables, looked up by the child's subtree fingerprint:
-   a clean child costs one hash probe instead of a subtree of work. *)
-and extended_cached ((mm, fps) as ctx) tree ~modes ~prune c =
-  match Hashtbl.find_opt mm.ext_cache (c, fps.(c)) with
-  | Some ({ table = Twide t; _ } as e) ->
-      e.stamp <- mm.gen;
-      Stats_counters.incr c_memo_hits;
-      if Span.enabled () then begin
-        (* A hit costs one probe instead of a subtree of work; the
-           zero-length span keeps the skipped subtree visible in the
-           trace. *)
-        Span.begin_span "dp_power.memo_hit";
-        Span.end_span ~args:[ ("node", Span.Int c) ] ()
-      end;
-      (c, t)
-  | Some { table = Tpacked _; _ } | None ->
-      Stats_counters.incr c_memo_misses;
-      let _, tbl =
-        extended_of (Some ctx) tree ~modes ~prune ~domains:1 c
-      in
-      Hashtbl.replace mm.ext_cache (c, fps.(c))
-        { stamp = mm.gen; table = Twide tbl };
-      (c, tbl)
-
-(* The child's table extended with the decision at c itself: its
-   operating mode is forced by the flow it absorbs. *)
-and extended_of ctx tree ~modes ~prune ~domains c =
-  let m = Modes.count modes in
-  let sm = state_size m in
-  let sub = table_of ctx tree ~modes ~prune ~domains c in
-  let extended = Tbl.create (2 * Tbl.length sub) in
-  let c_initial =
-    if Tree.is_pre_existing tree c then Some (initial_mode_default tree c)
-    else None
-  in
-  let created = ref 0 in
-  Tbl.iter
-    (fun key placed ->
-      set extended key placed ~created;
-      let flow = flow_of key in
-      let operating = Modes.mode_of_load modes flow in
-      let key' = bump key ~m ~initial:c_initial ~operating in
-      key'.(sm) <- 0;
-      set extended key' (Clist.snoc placed (c, flow)) ~created)
-    sub;
-  Stats_counters.add c_cells !created;
-  let extended = if prune then prune_dominated ~m extended else extended in
-  (c, extended)
-
-and merge ~modes ~prune left (c, extended) =
-  let m = Modes.count modes in
-  let sm = state_size m in
-  let w = Modes.max_capacity modes in
-  Log.debug (fun f ->
-      f "merge child %d: %d x %d cells" c (Tbl.length left)
-        (Tbl.length extended));
-  let tracing = Span.enabled () in
-  if tracing then Span.begin_span "dp_power.merge";
-  let merged = Tbl.create (Tbl.length left * 2) in
-  let products = ref 0 and rejected = ref 0 and created = ref 0 in
-  Tbl.iter
-    (fun k1 p1 ->
-      Tbl.iter
-        (fun k2 p2 ->
-          incr products;
-          let flow = k1.(sm) + k2.(sm) in
-          if flow <= w then begin
-            let key = Array.init (sm + 1) (fun i -> k1.(i) + k2.(i)) in
-            key.(sm) <- flow;
-            set merged key (Clist.append p1 p2) ~created
-          end
-          else incr rejected)
-        extended)
-    left;
-  Stats_counters.add c_products !products;
-  Stats_counters.add c_capacity !rejected;
-  Stats_counters.add c_cells !created;
-  Stats_counters.record_max c_peak (Tbl.length merged);
-  Replica_obs.Histogram.observe h_products !products;
-  let result = if prune then prune_dominated ~m merged else merged in
-  if tracing then
-    Span.end_span
-      ~args:
-        [
-          ("child", Span.Int c);
-          ("left_cells", Span.Int (Tbl.length left));
-          ("child_cells", Span.Int (Tbl.length extended));
-          ("products", Span.Int !products);
-          ("merged_cells", Span.Int (Tbl.length result));
-        ]
-      ();
-  result
-
-(* ------------------------------------------------------------------ *)
-(* Packed fast path: unboxed keys, flat tables, arena placements.     *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-depth scratch buffers for the memo-less packed path: the fold
-   at depth d needs the accumulator and its double buffer, the current
-   child's extension, and two prune scratches (count-group -> minimal
-   key, and the compacted output). All five are reused across every
-   node at that depth, so a whole solve touches O(height) tables and
-   the merge inner loop allocates zero GC words — [clear] keeps
-   backing storage. *)
-type pslot = {
-  mutable p_acc : Int_table.t;
-  mutable p_alt : Int_table.t;
-  mutable p_ext : Int_table.t;
-  p_best : Int_table.t;
-  mutable p_tmp : Int_table.t;
-}
-
-type pctx = {
-  lay : Packed_key.layout;
-  arena : Arena.t;
-  mutable pslots : pslot array;
-  pmemo : (memo * int64 array) option;
-  (* per-merge scratch counters: mutable fields, not refs, so the hot
-     path allocates nothing even without escape analysis *)
-  mutable n_products : int;
-  mutable n_rejected : int;
-  mutable n_created : int;
-}
-
-let fresh_pslot () =
-  {
-    p_acc = Int_table.create ();
-    p_alt = Int_table.create ();
-    p_ext = Int_table.create ();
-    p_best = Int_table.create ();
-    p_tmp = Int_table.create ();
-  }
-
-let make_pctx ?pmemo lay =
-  let arena =
-    match pmemo with Some (m, _) -> m.m_arena | None -> Arena.create ()
-  in
-  {
-    lay;
-    arena;
-    pslots = [||];
-    pmemo;
-    n_products = 0;
-    n_rejected = 0;
-    n_created = 0;
-  }
-
-let pslot pc depth =
-  let n = Array.length pc.pslots in
-  if depth >= n then
-    pc.pslots <-
-      Array.init
-        (max (depth + 1) (2 * n))
-        (fun i -> if i < n then pc.pslots.(i) else fresh_pslot ());
-  pc.pslots.(depth)
-
-(* Flow-dominance prune over a packed table. Count groups are
-   [key lsr flow_bits]; within a group the flow-minimal cell is the
-   minimal packed key, so [best] maps group -> minimal key. Writes the
-   surviving cells into [out] (cleared here) in first-encounter group
-   order and returns it; returns [tbl] untouched when nothing is
-   dominated. Counter totals match the wide prune exactly: same
-   groups, same survivors. *)
+   Over packed keys, count groups are [key lsr flow_bits] and within a
+   group the flow-minimal cell is the minimal key, so [best] maps
+   group -> minimal key. [pprune] writes the survivors into [out]
+   (cleared here) in first-encounter group order and returns it;
+   returns [tbl] untouched when nothing is dominated. *)
 let pprune lay ~best ~out tbl =
   if Int_table.length tbl <= 1 then tbl
   else begin
@@ -584,19 +204,160 @@ let pprune lay ~best ~out tbl =
     result
   end
 
-(* Extend [sub] (the child's table) with the decision at [c] itself,
-   writing into [ext] (cleared here). First-wins inserts, counting
-   created cells through [pc.n_created]; the arena push happens only
-   when the insert lands, so the loop allocates nothing. *)
+(* Incremental re-solving (same device as Dp_withpre): a memo caches
+   every extended child table keyed by the child's subtree fingerprint,
+   and every prefix of every node's child-merge fold keyed by a
+   fingerprint chain. An epoch re-solve then recomputes only the tables
+   under demand that actually moved; results are bit-identical to a
+   memo-less solve. Cached tables are copies out of the pooled scratch
+   and never mutated afterwards, so sharing them across solves is safe.
+   The memo forces the sequential merge path (no [Par] fan-out — the
+   cache is not domain-safe) and only serves packed solves; the
+   layout's field widths are part of the memo key, so a layout change
+   (e.g. the mode ladder or tree size changed) resets the cache rather
+   than mixing incomparable keys. Placements live in the memo's arena,
+   compacted after eviction once it outgrows [compact_at]. *)
+type memo = {
+  mutable gen : int;
+  mutable memo_key : (int list * bool * Packed_key.layout) option;
+      (* tables depend on the mode ladder, the prune flag and the layout *)
+  prefixes : (int * int64, entry) Hashtbl.t;
+  ext_cache : (int * int64, entry) Hashtbl.t;
+  m_arena : Arena.t;
+  mutable compact_at : int;
+}
+
+and entry = { mutable stamp : int; table : Int_table.t }
+
+let memo () =
+  {
+    gen = 0;
+    memo_key = None;
+    prefixes = Hashtbl.create 512;
+    ext_cache = Hashtbl.create 512;
+    m_arena = Arena.create ();
+    compact_at = 1 lsl 16;
+  }
+
+let memo_size m = Hashtbl.length m.prefixes + Hashtbl.length m.ext_cache
+
+let fp_seed client =
+  Tree.combine_fingerprints 0x9E6C63D0876A9A35L (Int64.of_int client)
+
+let memo_prepare mm ~modes ~prune lay =
+  let caps = Modes.capacities modes in
+  let same =
+    match mm.memo_key with
+    | Some (c, p, l) -> c = caps && p = prune && Packed_key.equal l lay
+    | None -> false
+  in
+  if not same then begin
+    Hashtbl.reset mm.prefixes;
+    Hashtbl.reset mm.ext_cache;
+    Arena.clear mm.m_arena;
+    mm.memo_key <- Some (caps, prune, lay)
+  end;
+  mm.gen <- mm.gen + 1
+
+let memo_finish mm =
+  let evict tbl =
+    Hashtbl.filter_map_inplace
+      (fun _ e -> if mm.gen - e.stamp > 1 then None else Some e)
+      tbl
+  in
+  evict mm.prefixes;
+  evict mm.ext_cache;
+  (* Reclaim arena cells orphaned by eviction/replacement once the
+     arena has outgrown its threshold; every surviving table handle is
+     rewritten through one sharing-preserving compaction map. *)
+  if Arena.length mm.m_arena > mm.compact_at then begin
+    let c = Arena.compact_begin mm.m_arena in
+    let rewrite _ e =
+      for i = 0 to Int_table.length e.table - 1 do
+        Int_table.set_val e.table i
+          (Arena.compact_root mm.m_arena c (Int_table.val_at e.table i))
+      done
+    in
+    Hashtbl.iter rewrite mm.prefixes;
+    Hashtbl.iter rewrite mm.ext_cache;
+    Arena.compact_commit mm.m_arena c;
+    mm.compact_at <- max (1 lsl 16) (4 * Arena.length mm.m_arena)
+  end
+
+(* ------------------------------------------------------------------ *)
+(* The packed traversal.                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Per-depth scratch buffers: the fold at depth d needs the accumulator
+   and its double buffer, the current child's extension, and two prune
+   scratches (count-group -> minimal key, and the compacted output).
+   All five are reused across every node at that depth, so a whole
+   solve touches O(height) tables and the merge inner loop allocates
+   zero GC words — [clear] keeps backing storage. *)
+type pslot = {
+  mutable p_acc : Int_table.t;
+  mutable p_alt : Int_table.t;
+  mutable p_ext : Int_table.t;
+  p_best : Int_table.t;
+  mutable p_tmp : Int_table.t;
+}
+
+type pctx = {
+  lay : Packed_key.layout;
+  arena : Arena.t;
+  mutable pslots : pslot array;
+  memo : (memo * int64 array) option;
+  (* per-merge scratch counters: mutable fields, not refs, so the hot
+     path allocates nothing even without escape analysis *)
+  mutable n_products : int;
+  mutable n_rejected : int;
+  mutable n_created : int;
+}
+
+let fresh_pslot () =
+  {
+    p_acc = Int_table.create ();
+    p_alt = Int_table.create ();
+    p_ext = Int_table.create ();
+    p_best = Int_table.create ();
+    p_tmp = Int_table.create ();
+  }
+
+let make_pctx ?memo lay =
+  let arena =
+    match memo with Some (m, _) -> m.m_arena | None -> Arena.create ()
+  in
+  {
+    lay;
+    arena;
+    pslots = [||];
+    memo;
+    n_products = 0;
+    n_rejected = 0;
+    n_created = 0;
+  }
+
+let pslot pc depth =
+  let n = Array.length pc.pslots in
+  if depth >= n then
+    pc.pslots <-
+      Array.init
+        (max (depth + 1) (2 * n))
+        (fun i -> if i < n then pc.pslots.(i) else fresh_pslot ());
+  pc.pslots.(depth)
+
+(* Extend [sub] (the child's table) with the decision at [c] itself —
+   its operating mode is forced by the flow it absorbs — writing into
+   [ext] (cleared here). First-wins inserts, counting created cells
+   through [pc.n_created]; the arena push happens only when the insert
+   lands, so the loop allocates nothing. *)
 let pextend pc tree ~modes ext sub c =
-  let lay = pc.lay in
-  let arena = pc.arena in
+  let lay = pc.lay and arena = pc.arena in
+  let m = Modes.count modes in
   Int_table.clear ext;
-  let c_pre = Tree.is_pre_existing tree c in
-  let i0 = if c_pre then initial_mode_default tree c else 0 in
+  let i0 = initial_of tree c in
   pc.n_created <- 0;
-  let len = Int_table.length sub in
-  for i = 0 to len - 1 do
+  for i = 0 to Int_table.length sub - 1 do
     let key = Int_table.key_at sub i in
     let placed = Int_table.val_at sub i in
     let r = Int_table.reserve ext key in
@@ -605,12 +366,8 @@ let pextend pc tree ~modes ext sub c =
       pc.n_created <- pc.n_created + 1
     end;
     let flow = Packed_key.flow lay key in
-    let operating = Modes.mode_of_load modes flow in
-    let field =
-      if c_pre then Packed_key.e_field lay ~initial:i0 ~operating
-      else Packed_key.n_field lay ~operating
-    in
-    let key' = Packed_key.bump lay (Packed_key.zero_flow lay key) field in
+    let f = field ~m ~i0 ~operating:(Modes.mode_of_load modes flow) in
+    let key' = Packed_key.bump lay (Packed_key.zero_flow lay key) f in
     let r' = Int_table.reserve ext key' in
     if r' >= 0 then begin
       Int_table.set_val ext r' (Arena.snoc arena placed ~node:c ~flow);
@@ -626,8 +383,7 @@ let pextend pc tree ~modes ext sub c =
    carry. The loop body is probes, int adds and arena pushes: zero GC
    words. *)
 let pconvolve pc ~modes ~into left ext =
-  let lay = pc.lay in
-  let arena = pc.arena in
+  let lay = pc.lay and arena = pc.arena in
   let w = Modes.max_capacity modes in
   let llen = Int_table.length left and rlen = Int_table.length ext in
   (* Span only the convolutions with enough products to dwarf the span
@@ -676,25 +432,51 @@ let pconvolve pc ~modes ~into left ext =
 (* Start cell of a node's table: no servers below, the client load
    flows through — the packed key is just the flow field, i.e. the
    load itself. *)
-let pstart _pc ~modes tbl tree j =
+let pstart ~modes tbl tree j =
   Int_table.clear tbl;
-  let w = Modes.max_capacity modes in
   let client = Tree.client_load tree j in
-  if client <= w then begin
+  if client <= Modes.max_capacity modes then begin
     let r = Int_table.reserve tbl client in
     Int_table.set_val tbl r Arena.empty;
     Stats_counters.incr c_cells
   end
 
-(* Packed memo-less recursion. The fold at each node runs over the
-   per-depth scratch slot: extend the child into [p_ext] (pruning via
-   [p_tmp]), convolve [p_acc] x [p_ext] into [p_alt] (pruning via
-   [p_tmp] again), then swap [p_acc]/[p_alt]. All swaps permute the
-   five distinct tables of the slot, so no buffer is ever read and
-   written in the same kernel. *)
+(* Prune the slot buffer [tbl]: the survivors land in [p_tmp], which
+   then trades places with [tbl]. Returns the buffer now holding the
+   pruned table, for the caller to store back where [tbl] was. *)
+let pprune_slot pc s tbl =
+  let r = pprune pc.lay ~best:s.p_best ~out:s.p_tmp tbl in
+  if r != tbl then s.p_tmp <- tbl;
+  r
+
+(* One fold step: [left] x [ext] into [p_alt], pruned, then the result
+   becomes [p_acc]. [left] is [p_acc] itself or a read-only memo table;
+   every swap permutes the five distinct tables of the slot, so no
+   buffer is ever read and written in the same kernel. *)
+let pmerge_step pc ~modes ~prune s left ext =
+  pconvolve pc ~modes ~into:s.p_alt left ext;
+  if prune then s.p_alt <- pprune_slot pc s s.p_alt;
+  let t = s.p_acc in
+  s.p_acc <- s.p_alt;
+  s.p_alt <- t
+
+(* Per-node spans only for subtrees of at least this many nodes —
+   same rationale as [Dp_withpre.span_min_subtree]: the packed kernels
+   made small-subtree merges cheaper than the span bookkeeping. *)
+let span_min_subtree = 16
+
+let spanned tree j =
+  Span.enabled () && Tree.subtree_size tree j >= span_min_subtree
+
+(* Table of node j over servers strictly below j, folded over the
+   per-depth scratch slot. [domains > 1] fans sibling subtrees out over
+   OCaml 5 domains at the first node with several children; the
+   reduction keeps the sequential child order, so the result is
+   bit-identical to [domains = 1]. With a memo, the fold resumes from
+   its longest cached prefix and takes clean children's extensions
+   from the cache. *)
 let rec ptable pc tree ~modes ~prune ~domains ~depth j =
-  if not (Span.enabled () && Tree.subtree_size tree j >= span_min_subtree)
-  then pnode pc tree ~modes ~prune ~domains ~depth j
+  if not (spanned tree j) then pnode pc tree ~modes ~prune ~domains ~depth j
   else begin
     Span.begin_span "dp_power.node";
     let tbl =
@@ -716,627 +498,452 @@ let rec ptable pc tree ~modes ~prune ~domains ~depth j =
 
 and pnode pc tree ~modes ~prune ~domains ~depth j =
   let s = pslot pc depth in
-  pstart pc ~modes s.p_acc tree j;
+  pstart ~modes s.p_acc tree j;
   let children = Tree.children_array tree j in
   let k = Array.length children in
   if k = 0 then s.p_acc
-  else if k >= 2 && domains > 1 then begin
-    (* Sibling fan-out: each child builds its extension in a private
-       pctx + arena; grafting back and folding keeps the sequential
-       child order, so the result is bit-identical to [domains = 1]. *)
-    let exts =
-      Par.map ~domains
-        (fun c -> pextended_standalone pc.lay tree ~modes ~prune c)
-        (Array.to_list children)
-    in
-    List.iter
-      (fun (ext, child_arena) ->
-        let map = Array.make (Arena.length child_arena) 0 in
-        let len = Int_table.length ext in
-        for i = 0 to len - 1 do
-          Int_table.set_val ext i
-            (Arena.graft ~src:child_arena ~dst:pc.arena ~map
-               (Int_table.val_at ext i))
+  else
+    match pc.memo with
+    | None when k >= 2 && domains > 1 ->
+        (* Sibling fan-out: each child builds its extension in a private
+           pctx + arena; grafting back and folding keeps the sequential
+           child order. *)
+        let exts =
+          Par.map ~domains
+            (fun c ->
+              let cp = make_pctx pc.lay in
+              let ext =
+                pext cp tree ~modes ~prune ~domains:1 ~depth:0 (pslot cp 0) c
+              in
+              (ext, cp.arena))
+            (Array.to_list children)
+        in
+        List.iter
+          (fun (ext, child_arena) ->
+            let map = Array.make (Arena.length child_arena) 0 in
+            for i = 0 to Int_table.length ext - 1 do
+              Int_table.set_val ext i
+                (Arena.graft ~src:child_arena ~dst:pc.arena ~map
+                   (Int_table.val_at ext i))
+            done;
+            pmerge_step pc ~modes ~prune s s.p_acc ext)
+          exts;
+        s.p_acc
+    | None ->
+        let domains = if k = 1 then domains else 1 in
+        for i = 0 to k - 1 do
+          pmerge_step pc ~modes ~prune s s.p_acc
+            (pext pc tree ~modes ~prune ~domains ~depth s children.(i))
         done;
-        pmerge_step pc ~modes ~prune s ext)
-      exts;
-    s.p_acc
-  end
-  else begin
-    for i = 0 to k - 1 do
-      let c = children.(i) in
-      let sub =
-        ptable pc tree ~modes ~prune
-          ~domains:(if k = 1 then domains else 1)
-          ~depth:(depth + 1) c
-      in
-      pextend pc tree ~modes s.p_ext sub c;
-      (if prune then begin
-         let r = pprune pc.lay ~best:s.p_best ~out:s.p_tmp s.p_ext in
-         if r != s.p_ext then begin
-           let t = s.p_ext in
-           s.p_ext <- s.p_tmp;
-           s.p_tmp <- t
-         end
-       end);
-      pmerge_step pc ~modes ~prune s s.p_ext
-    done;
-    s.p_acc
-  end
+        s.p_acc
+    | Some (mm, fps) ->
+        (* Prefix i of the fold is keyed by the fingerprint chain of the
+           client load and the first i child subtrees. *)
+        let keys = Array.make (k + 1) (fp_seed (Tree.client_load tree j)) in
+        for i = 1 to k do
+          keys.(i) <-
+            Tree.combine_fingerprints keys.(i - 1) fps.(children.(i - 1))
+        done;
+        let rec longest i =
+          if i = 0 then (0, s.p_acc)
+          else
+            match Hashtbl.find_opt mm.prefixes (j, keys.(i)) with
+            | Some e ->
+                e.stamp <- mm.gen;
+                (i, e.table)
+            | None -> longest (i - 1)
+        in
+        let first, left = longest k in
+        if first > 0 && first < k then Stats_counters.incr c_memo_partial;
+        if spanned tree j then
+          Span.add_arg "memo"
+            (Span.Str
+               (if first = k then "hit"
+                else if first > 0 then "partial"
+                else "miss"));
+        let acc = ref left in
+        for i = first to k - 1 do
+          pmerge_step pc ~modes ~prune s !acc
+            (pext pc tree ~modes ~prune ~domains:1 ~depth s children.(i));
+          acc := s.p_acc;
+          Hashtbl.replace mm.prefixes
+            (j, keys.(i + 1))
+            { stamp = mm.gen; table = Int_table.copy s.p_acc }
+        done;
+        !acc
 
-and pmerge_step pc ~modes ~prune s ext =
-  pconvolve pc ~modes ~into:s.p_alt s.p_acc ext;
-  (if prune then begin
-     let r = pprune pc.lay ~best:s.p_best ~out:s.p_tmp s.p_alt in
-     if r != s.p_alt then begin
-       let t = s.p_alt in
-       s.p_alt <- s.p_tmp;
-       s.p_tmp <- t
-     end
-   end);
-  let t = s.p_acc in
-  s.p_acc <- s.p_alt;
-  s.p_alt <- t
+(* Child [c]'s table extended with the decision at [c] itself and
+   pruned, in the slot's [p_ext] — or, with a memo, looked up by the
+   child's subtree fingerprint: a clean child costs one probe instead
+   of a subtree of work, and a fresh extension is copied into the
+   cache. *)
+and pext pc tree ~modes ~prune ~domains ~depth s c =
+  match pc.memo with
+  | None -> pbuild_ext pc tree ~modes ~prune ~domains ~depth s c
+  | Some (mm, fps) -> (
+      match Hashtbl.find_opt mm.ext_cache (c, fps.(c)) with
+      | Some e ->
+          e.stamp <- mm.gen;
+          Stats_counters.incr c_memo_hits;
+          if Span.enabled () then begin
+            (* The zero-length span keeps the skipped subtree visible
+               in the trace. *)
+            Span.begin_span "dp_power.memo_hit";
+            Span.end_span ~args:[ ("node", Span.Int c) ] ()
+          end;
+          e.table
+      | None ->
+          Stats_counters.incr c_memo_misses;
+          let ext = pbuild_ext pc tree ~modes ~prune ~domains ~depth s c in
+          Hashtbl.replace mm.ext_cache (c, fps.(c))
+            { stamp = mm.gen; table = Int_table.copy ext };
+          ext)
 
-and pextended_standalone lay tree ~modes ~prune c =
-  let pc = make_pctx lay in
-  let sub = ptable pc tree ~modes ~prune ~domains:1 ~depth:1 c in
-  let s = pslot pc 0 in
+and pbuild_ext pc tree ~modes ~prune ~domains ~depth s c =
+  let sub = ptable pc tree ~modes ~prune ~domains ~depth:(depth + 1) c in
   pextend pc tree ~modes s.p_ext sub c;
-  let ext =
-    if prune then pprune lay ~best:s.p_best ~out:s.p_tmp s.p_ext else s.p_ext
-  in
-  (ext, pc.arena)
+  if prune then s.p_ext <- pprune_slot pc s s.p_ext;
+  s.p_ext
 
-(* Packed memo path — the packed twin of the wide [node_table]'s
-   [Some ctx] branch. Tables built here persist in the memo across
-   solves, so they are fresh [Int_table]s (not pooled scratch) and
-   their placements live in the memo's arena. *)
-let rec mtable pc tree ~modes ~prune j =
-  if not (Span.enabled ()) then mnode pc tree ~modes ~prune j
+(* ------------------------------------------------------------------ *)
+(* Wide fallback: the same recurrence over [int array] keys, for      *)
+(* instances whose tight layout exceeds 62 bits. Sequential and       *)
+(* memo-less.                                                         *)
+(* ------------------------------------------------------------------ *)
+
+module Tbl = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+
+  let hash a =
+    Array.fold_left (fun h x -> (h * 31) + x + 1) 17 a land max_int
+end)
+
+let wprune ~sm tbl =
+  let best = Tbl.create (Tbl.length tbl) in
+  Tbl.iter
+    (fun key _ ->
+      let counts = Array.sub key 0 sm in
+      match Tbl.find_opt best counts with
+      | Some k0 when k0.(sm) <= key.(sm) -> ()
+      | Some _ | None -> Tbl.replace best counts key)
+    tbl;
+  let dropped = Tbl.length tbl - Tbl.length best in
+  if dropped = 0 then tbl
   else begin
-    Span.begin_span "dp_power.node";
-    let tbl =
-      try mnode pc tree ~modes ~prune j
-      with e ->
-        Span.end_span ();
-        raise e
-    in
-    Span.end_span
-      ~args:
-        [
-          ("node", Span.Int j);
-          ("subtree_size", Span.Int (Tree.subtree_size tree j));
-          ("cells", Span.Int (Int_table.length tbl));
-        ]
-      ();
-    tbl
+    Stats_counters.add c_pruned dropped;
+    let out = Tbl.create (Tbl.length best) in
+    Tbl.iter (fun _ key -> Tbl.replace out key (Tbl.find tbl key)) best;
+    out
   end
 
-and mnode pc tree ~modes ~prune j =
-  let mm, fps =
-    match pc.pmemo with Some c -> c | None -> assert false
+let wtable arena tree ~modes ~prune =
+  let m = Modes.count modes and w = Modes.max_capacity modes in
+  let sm = state_size m in
+  let insert tbl key placed =
+    if not (Tbl.mem tbl key) then begin
+      Tbl.replace tbl key (placed ());
+      Stats_counters.incr c_cells
+    end
   in
-  let start = Int_table.create () in
-  pstart pc ~modes start tree j;
-  match Tree.children tree j with
-  | [] -> start
-  | children ->
-      let arr = Array.of_list children in
-      let k = Array.length arr in
-      let keys = Array.make (k + 1) (fp_seed (Tree.client_load tree j)) in
-      for i = 1 to k do
-        keys.(i) <- Tree.combine_fingerprints keys.(i - 1) fps.(arr.(i - 1))
-      done;
-      let best = ref 0 and acc = ref start in
-      (try
-         for i = k downto 1 do
-           match Hashtbl.find_opt mm.prefixes (j, keys.(i)) with
-           | Some e -> (
-               match packed_entry e with
-               | Some t ->
-                   e.stamp <- mm.gen;
-                   best := i;
-                   acc := t;
-                   raise Exit
-               | None -> ())
-           | None -> ()
-         done
-       with Exit -> ());
-      if !best > 0 && !best < k then Stats_counters.incr c_memo_partial;
-      if Span.enabled () then
-        Span.add_arg "memo"
-          (Span.Str
-             (if !best = k then "hit"
-              else if !best > 0 then "partial"
-              else "miss"));
-      for i = !best + 1 to k do
-        acc := mmerge pc tree ~modes ~prune !acc arr.(i - 1);
-        Hashtbl.replace mm.prefixes (j, keys.(i))
-          { stamp = mm.gen; table = Tpacked !acc }
-      done;
-      !acc
-
-and mmerge pc tree ~modes ~prune left c =
-  let ext = mext_cached pc tree ~modes ~prune c in
-  let merged = Int_table.create ~capacity:(2 * Int_table.length left) () in
-  pconvolve pc ~modes ~into:merged left ext;
-  if prune then begin
-    let best = Int_table.create () and out = Int_table.create () in
-    pprune pc.lay ~best ~out merged
-  end
-  else merged
-
-and mext_cached pc tree ~modes ~prune c =
-  let mm, fps =
-    match pc.pmemo with Some x -> x | None -> assert false
+  let prune tbl = if prune && Tbl.length tbl > 1 then wprune ~sm tbl else tbl in
+  let rec node j =
+    let start = Tbl.create 16 in
+    let client = Tree.client_load tree j in
+    if client <= w then begin
+      let key = Array.make (sm + 1) 0 in
+      key.(sm) <- client;
+      insert start key (fun () -> Arena.empty)
+    end;
+    Array.fold_left merge start (Tree.children_array tree j)
+  and merge left c =
+    let sub = node c in
+    let ext = Tbl.create (2 * Tbl.length sub) in
+    let i0 = initial_of tree c in
+    Tbl.iter
+      (fun key placed ->
+        insert ext key (fun () -> placed);
+        let flow = key.(sm) in
+        let key' = Array.copy key in
+        let f = field ~m ~i0 ~operating:(Modes.mode_of_load modes flow) in
+        key'.(f) <- key'.(f) + 1;
+        key'.(sm) <- 0;
+        insert ext key' (fun () -> Arena.snoc arena placed ~node:c ~flow))
+      sub;
+    let ext = prune ext in
+    Log.debug (fun f ->
+        f "merge child %d: %d x %d cells" c (Tbl.length left) (Tbl.length ext));
+    let merged = Tbl.create (2 * Tbl.length left) in
+    let products = Tbl.length left * Tbl.length ext and rejected = ref 0 in
+    Tbl.iter
+      (fun k1 p1 ->
+        Tbl.iter
+          (fun k2 p2 ->
+            if k1.(sm) + k2.(sm) <= w then
+              insert merged
+                (Array.init (sm + 1) (fun i -> k1.(i) + k2.(i)))
+                (fun () -> Arena.append arena p1 p2)
+            else incr rejected)
+          ext)
+      left;
+    Stats_counters.add c_products products;
+    Stats_counters.add c_capacity !rejected;
+    Stats_counters.record_max c_peak (Tbl.length merged);
+    Replica_obs.Histogram.observe h_products products;
+    prune merged
   in
-  match Hashtbl.find_opt mm.ext_cache (c, fps.(c)) with
-  | Some ({ table = Tpacked t; _ } as e) ->
-      e.stamp <- mm.gen;
-      Stats_counters.incr c_memo_hits;
-      if Span.enabled () then begin
-        Span.begin_span "dp_power.memo_hit";
-        Span.end_span ~args:[ ("node", Span.Int c) ] ()
-      end;
-      t
-  | Some { table = Twide _; _ } | None ->
-      Stats_counters.incr c_memo_misses;
-      let sub = mtable pc tree ~modes ~prune c in
-      let ext = Int_table.create ~capacity:(2 * Int_table.length sub) () in
-      pextend pc tree ~modes ext sub c;
-      let ext =
-        if prune then begin
-          let best = Int_table.create () and out = Int_table.create () in
-          pprune pc.lay ~best ~out ext
+  node (Tree.root tree)
+
+(* ------------------------------------------------------------------ *)
+(* The root scan and the public entry points.                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The root table as both representations present it to the scan:
+   [read i v] writes cell [i]'s state vector into [v] and returns its
+   placement in [arena]. *)
+type root = {
+  cells : int;
+  read : int -> int array -> int;
+  arena : Arena.t;
+  node : Tree.node;
+  i0 : int;  (* the root's initial mode, 0 when not pre-existing *)
+  available : int array;  (* pre-existing servers per initial mode *)
+}
+
+(* Build the root table — packed when [lay] is given (through [memo]
+   when given), wide otherwise — under the tables span and timer. *)
+let root_table ?memo tree ~modes ~prune ~domains lay =
+  let tracing = Span.enabled () in
+  if tracing then Span.begin_span "dp_power.tables";
+  let sm = state_size (Modes.count modes) in
+  let cells, read, arena =
+    Stats_counters.time t_tables (fun () ->
+        match lay with
+        | Some lay ->
+            let pc = make_pctx ?memo lay in
+            let t =
+              ptable pc tree ~modes ~prune ~domains ~depth:0 (Tree.root tree)
+            in
+            let read i v =
+              let key = Int_table.key_at t i in
+              for f = 0 to sm do
+                v.(f) <- Packed_key.get lay key f
+              done;
+              Int_table.val_at t i
+            in
+            (Int_table.length t, read, pc.arena)
+        | None ->
+            let arena = Arena.create () in
+            let t = wtable arena tree ~modes ~prune in
+            let keys = Array.make (Tbl.length t) [||]
+            and vals = Array.make (Tbl.length t) 0
+            and n = ref 0 in
+            Tbl.iter
+              (fun key placed ->
+                keys.(!n) <- key;
+                vals.(!n) <- placed;
+                incr n)
+              t;
+            let read i v =
+              Array.blit keys.(i) 0 v 0 (sm + 1);
+              vals.(i)
+            in
+            (!n, read, arena))
+  in
+  if tracing then Span.end_span ~args:[ ("root_cells", Span.Int cells) ] ();
+  let root = Tree.root tree in
+  {
+    cells;
+    read;
+    arena;
+    node = root;
+    i0 = initial_of tree root;
+    available = available_of tree ~m:(Modes.count modes);
+  }
+
+(* The server a root decision adds; its mode follows from the residual
+   flow (mode 1 for the zero-load reuse of a pre-existing root). The
+   flow field is left as read — the readers below look only at
+   counts. *)
+let bump_root ~modes root v =
+  let m = Modes.count modes in
+  let f =
+    field ~m ~i0:root.i0 ~operating:(Modes.mode_of_load modes v.(state_size m))
+  in
+  v.(f) <- v.(f) + 1
+
+(* Every complete candidate, in scan order, through [consider id v]:
+   candidate [2i + b] is root cell [i] completed without (b = 0) or
+   with (b = 1) a root server, its full state vector in [v]. A
+   zero-flow cell admits the no-root completion plus, when the root is
+   pre-existing, its zero-load reuse; positive flow forces a root
+   server. *)
+let enumerate ~modes root consider =
+  let tracing = Span.enabled () in
+  if tracing then Span.begin_span "dp_power.enumerate";
+  let sm = state_size (Modes.count modes) in
+  let v = Array.make (sm + 1) 0 and n = ref 0 in
+  Stats_counters.time t_enumerate (fun () ->
+      for i = 0 to root.cells - 1 do
+        ignore (root.read i v);
+        let flow = v.(sm) in
+        if flow = 0 then begin
+          incr n;
+          consider (2 * i) v
+        end;
+        if flow > 0 || root.i0 > 0 then begin
+          bump_root ~modes root v;
+          incr n;
+          consider ((2 * i) + 1) v
         end
-        else ext
-      in
-      Hashtbl.replace mm.ext_cache (c, fps.(c))
-        { stamp = mm.gen; table = Tpacked ext };
-      ext
+      done);
+  if tracing then Span.end_span ~args:[ ("candidates", Span.Int !n) ] ()
 
-(* ------------------------------------------------------------------ *)
-(* Enumeration and the public entry points.                           *)
-(* ------------------------------------------------------------------ *)
-
-let tally_of_state ~modes ~available key =
-  let m = Modes.count modes in
-  let t = Cost.empty_tally ~modes:m in
+(* The two readers of a complete state vector: Eq. 4's server tally
+   (written into a caller-owned record) and Eq. 3's power. *)
+let tally_into root t v =
+  let m = Array.length root.available in
   for i = 0 to m - 1 do
-    t.Cost.created.(i) <- key.(i)
+    t.Cost.created.(i) <- v.(i)
   done;
-  for i = 0 to m - 1 do
-    let reused_from_i = ref 0 in
-    for i' = 0 to m - 1 do
-      t.Cost.reused.(i).(i') <- key.(m + (i * m) + i');
-      reused_from_i := !reused_from_i + t.Cost.reused.(i).(i')
-    done;
-    t.Cost.deleted.(i) <- available.(i) - !reused_from_i
-  done;
-  t
-
-let power_of_state ~modes ~power key =
-  let m = Modes.count modes in
-  let total = ref 0. in
-  for op = 1 to m do
-    let count = ref key.(op - 1) in
-    for i0 = 1 to m do
-      count := !count + key.(m + ((i0 - 1) * m) + (op - 1))
-    done;
-    if !count > 0 then
-      total := !total +. (float_of_int !count *. Power.of_mode power modes op)
-  done;
-  !total
-
-(* Packed twins of the two key readers, writing into a caller-owned
-   tally so the lean solve scan reuses one scratch record. *)
-let ptally_into lay ~available tally key =
-  let m = Packed_key.mode_count lay in
-  for op = 1 to m do
-    tally.Cost.created.(op - 1) <-
-      Packed_key.get lay key (Packed_key.n_field lay ~operating:op)
-  done;
-  for i0 = 1 to m do
-    let row = tally.Cost.reused.(i0 - 1) in
+  for i0 = 0 to m - 1 do
+    let row = t.Cost.reused.(i0) in
     let sum = ref 0 in
-    for op = 1 to m do
-      let v =
-        Packed_key.get lay key (Packed_key.e_field lay ~initial:i0 ~operating:op)
-      in
-      row.(op - 1) <- v;
-      sum := !sum + v
+    for op = 0 to m - 1 do
+      row.(op) <- v.(m + (i0 * m) + op);
+      sum := !sum + row.(op)
     done;
-    tally.Cost.deleted.(i0 - 1) <- available.(i0 - 1) - !sum
+    t.Cost.deleted.(i0) <- root.available.(i0) - !sum
   done
 
-let ppower_of lay ~modes ~power key =
-  let m = Packed_key.mode_count lay in
+let power_of ~modes ~power v =
+  let m = Modes.count modes in
   let total = ref 0. in
   for op = 1 to m do
-    let count = ref (Packed_key.get lay key (Packed_key.n_field lay ~operating:op)) in
+    let count = ref v.(op - 1) in
     for i0 = 1 to m do
-      count :=
-        !count
-        + Packed_key.get lay key (Packed_key.e_field lay ~initial:i0 ~operating:op)
+      count := !count + v.(field ~m ~i0 ~operating:op)
     done;
     if !count > 0 then
       total := !total +. (float_of_int !count *. Power.of_mode power modes op)
   done;
   !total
 
-(* Root decisions for one packed root-table cell, in the same order as
-   the wide enumeration: zero flow admits the no-root completion (plus
-   a zero-load reuse when the root is pre-existing); positive flow
-   forces a root server at the load-determined mode. The root bump
-   leaves the flow field untouched — like the wide [bump] — since the
-   readers above only look at count fields. *)
-let proot_scan lay ~modes table ~root_pre ~root_i0 consider =
-  let len = Int_table.length table in
-  for i = 0 to len - 1 do
-    let key = Int_table.key_at table i in
-    let placed = Int_table.val_at table i in
-    let flow = Packed_key.flow lay key in
-    if flow = 0 then begin
-      consider key placed false;
-      if root_pre then
-        consider
-          (Packed_key.bump lay key
-             (Packed_key.e_field lay ~initial:root_i0 ~operating:1))
-          placed true
-    end
-    else begin
-      let operating = Modes.mode_of_load modes flow in
-      let field =
-        if root_pre then Packed_key.e_field lay ~initial:root_i0 ~operating
-        else Packed_key.n_field lay ~operating
-      in
-      consider (Packed_key.bump lay key field) placed true
-    end
-  done
-
-(* Enumerate every complete solution at the root (wide fallback): for
-   each root-table cell, either the residual flow is zero (no root
-   server needed — with an optional zero-load reuse when the root is
-   pre-existing), or the root must host a server whose mode follows
-   from the flow. One scratch key serves every transient root bump. *)
-let candidates ?(ctx = None) tree ~modes ~power ~cost ~prune ~domains =
-  if Cost.mode_count cost <> Modes.count modes then
-    invalid_arg "Dp_power: cost model mode count mismatch";
+(* Decode one candidate into a [result]. *)
+let candidate ~modes ~power ~cost root id =
   let m = Modes.count modes in
-  let root = Tree.root tree in
-  let tracing = Span.enabled () in
-  if tracing then Span.begin_span "dp_power.tables";
-  let table =
-    Stats_counters.time t_tables (fun () ->
-        table_of ctx tree ~modes ~prune ~domains root)
-  in
-  if tracing then
-    Span.end_span ~args:[ ("root_cells", Span.Int (Tbl.length table)) ] ();
-  let root_initial =
-    if Tree.is_pre_existing tree root then
-      Some (initial_mode_default tree root)
-    else None
-  in
-  let available = available_of tree ~m in
-  let scratch = Array.make (state_size m + 1) 0 in
-  let out = ref [] in
-  let emit key placed root_used =
-    let tally = tally_of_state ~modes ~available key in
-    let cost_v = Cost.modal_cost cost tally in
-    let power_v = power_of_state ~modes ~power key in
-    let nodes = List.map fst (Clist.to_list placed) in
-    let nodes = if root_used then root :: nodes else nodes in
-    out :=
-      {
-        solution = Solution.of_nodes nodes;
-        power = power_v;
-        cost = cost_v;
-        tally;
-      }
-      :: !out
-  in
-  if tracing then Span.begin_span "dp_power.enumerate";
-  Stats_counters.time t_enumerate (fun () ->
-      Tbl.iter
-        (fun key placed ->
-          let flow = flow_of key in
-          if flow = 0 then begin
-            emit key placed false;
-            (* Zero-load reuse of a pre-existing root (can be cheaper than
-               deleting it, at the price of its mode-1 power). *)
-            match root_initial with
-            | Some _ ->
-                bump_into scratch key ~m ~initial:root_initial ~operating:1;
-                emit scratch placed true
-            | None -> ()
-          end
-          else begin
-            let operating = Modes.mode_of_load modes flow in
-            bump_into scratch key ~m ~initial:root_initial ~operating;
-            emit scratch placed true
-          end)
-        table);
-  if tracing then
-    Span.end_span ~args:[ ("candidates", Span.Int (List.length !out)) ] ();
-  !out
+  let v = Array.make (state_size m + 1) 0 in
+  let placed = root.read (id lsr 1) v in
+  let with_root = id land 1 = 1 in
+  if with_root then bump_root ~modes root v;
+  let tally = Cost.empty_tally ~modes:m in
+  tally_into root tally v;
+  let nodes = Arena.nodes root.arena placed in
+  {
+    solution =
+      Solution.of_nodes (if with_root then root.node :: nodes else nodes);
+    power = power_of ~modes ~power v;
+    cost = Cost.modal_cost cost tally;
+    tally;
+  }
 
-(* Packed candidate enumeration (frontier path: every completion is
-   materialized as a [result]). *)
-let pcandidates lay tree ~modes ~power ~cost ~prune ~domains =
+let check_modes ~modes ~cost =
   if Cost.mode_count cost <> Modes.count modes then
-    invalid_arg "Dp_power: cost model mode count mismatch";
-  let m = Modes.count modes in
-  let root = Tree.root tree in
-  let pc = make_pctx lay in
-  let tracing = Span.enabled () in
-  if tracing then Span.begin_span "dp_power.tables";
-  let table =
-    Stats_counters.time t_tables (fun () ->
-        ptable pc tree ~modes ~prune ~domains ~depth:0 root)
-  in
-  if tracing then
-    Span.end_span ~args:[ ("root_cells", Span.Int (Int_table.length table)) ] ();
-  let root_pre = Tree.is_pre_existing tree root in
-  let root_i0 = if root_pre then initial_mode_default tree root else 0 in
-  let available = available_of tree ~m in
-  let out = ref [] in
-  let emit key placed root_used =
-    let tally = Cost.empty_tally ~modes:m in
-    ptally_into lay ~available tally key;
-    let cost_v = Cost.modal_cost cost tally in
-    let power_v = ppower_of lay ~modes ~power key in
-    let nodes = Arena.nodes pc.arena placed in
-    let nodes = if root_used then root :: nodes else nodes in
-    out :=
-      {
-        solution = Solution.of_nodes nodes;
-        power = power_v;
-        cost = cost_v;
-        tally;
-      }
-      :: !out
-  in
-  if tracing then Span.begin_span "dp_power.enumerate";
-  Stats_counters.time t_enumerate (fun () ->
-      proot_scan lay ~modes table ~root_pre ~root_i0 emit);
-  if tracing then
-    Span.end_span ~args:[ ("candidates", Span.Int (List.length !out)) ] ();
-  !out
+    invalid_arg "Dp_power: cost model mode count mismatch"
 
-(* Memo housekeeping shared by both representations. *)
-let memo_prepare mm ~modes ~prune ~layout =
-  let key = (Modes.capacities modes, prune) in
-  let layout_matches =
-    match (mm.m_layout, layout) with
-    | None, None -> true
-    | Some a, Some b -> Packed_key.equal a b
-    | None, Some _ | Some _, None -> false
-  in
-  if mm.memo_key <> Some key || not layout_matches then begin
-    Hashtbl.reset mm.prefixes;
-    Hashtbl.reset mm.ext_cache;
-    Arena.clear mm.m_arena;
-    mm.memo_key <- Some key;
-    mm.m_layout <- layout
-  end;
-  mm.gen <- mm.gen + 1
-
-let memo_finish mm =
-  let evict tbl =
-    Hashtbl.filter_map_inplace
-      (fun _ e -> if mm.gen - e.stamp > 1 then None else Some e)
-      tbl
-  in
-  evict mm.prefixes;
-  evict mm.ext_cache;
-  (* Reclaim arena cells orphaned by eviction/replacement once the
-     arena has outgrown its threshold; every surviving table handle is
-     rewritten through one sharing-preserving compaction map. *)
-  match mm.m_layout with
-  | Some _ when Arena.length mm.m_arena > mm.compact_at ->
-      let c = Arena.compact_begin mm.m_arena in
-      let rewrite _ e =
-        match e.table with
-        | Tpacked t ->
-            let len = Int_table.length t in
-            for i = 0 to len - 1 do
-              Int_table.set_val t i
-                (Arena.compact_root mm.m_arena c (Int_table.val_at t i))
-            done
-        | Twide _ -> ()
-      in
-      Hashtbl.iter rewrite mm.prefixes;
-      Hashtbl.iter rewrite mm.ext_cache;
-      Arena.compact_commit mm.m_arena c;
-      mm.compact_at <- max (1 lsl 16) (4 * Arena.length mm.m_arena)
-  | Some _ | None -> ()
-
-(* Packed solve: build the root table with pooled scratch (or through
-   the memo), then scan it WITHOUT materializing a candidate list —
-   cost and power are evaluated into one scratch tally per cell, and
-   only the winning cell is decoded into a [result]. The scan order
-   and the non-strict replace reproduce the wide path's tie-breaking
-   exactly: the (power, cost) optimum is identical; the representative
-   placement may differ (table iteration orders differ). *)
-let psolve lay tree ~modes ~power ~cost ~bound ~prune ~domains mopt =
-  let pmemo =
-    match mopt with
-    | None -> None
-    | Some mm ->
-        memo_prepare mm ~modes ~prune ~layout:(Some lay);
-        Some (mm, Tree.subtree_fingerprints tree)
-  in
-  let pc = make_pctx ?pmemo lay in
-  let tracing = Span.enabled () in
-  if tracing then Span.begin_span "dp_power.solve";
-  let root = Tree.root tree in
-  if tracing then Span.begin_span "dp_power.tables";
-  let table =
-    Stats_counters.time t_tables (fun () ->
-        match pc.pmemo with
-        | None -> ptable pc tree ~modes ~prune ~domains ~depth:0 root
-        | Some _ -> mtable pc tree ~modes ~prune root)
-  in
-  if tracing then
-    Span.end_span ~args:[ ("root_cells", Span.Int (Int_table.length table)) ] ();
-  let m = Modes.count modes in
-  let root_pre = Tree.is_pre_existing tree root in
-  let root_i0 = if root_pre then initial_mode_default tree root else 0 in
-  let available = available_of tree ~m in
-  let scratch = Cost.empty_tally ~modes:m in
-  let n_cand = ref 0 in
-  let found = ref false
-  and best_p = ref infinity
-  and best_c = ref infinity
-  and best_key = ref 0
-  and best_placed = ref Arena.empty
-  and best_root = ref false in
-  let consider key placed root_used =
-    incr n_cand;
-    ptally_into lay ~available scratch key;
-    let cost_v = Cost.modal_cost cost scratch in
-    if cost_v <= bound then begin
-      let power_v = ppower_of lay ~modes ~power key in
-      if
-        (not !found)
-        || power_v < !best_p
-        || (power_v = !best_p && cost_v <= !best_c)
-      then begin
-        found := true;
-        best_p := power_v;
-        best_c := cost_v;
-        best_key := key;
-        best_placed := placed;
-        best_root := root_used
-      end
-    end
-  in
-  if tracing then Span.begin_span "dp_power.enumerate";
-  Stats_counters.time t_enumerate (fun () ->
-      proot_scan lay ~modes table ~root_pre ~root_i0 consider);
-  if tracing then
-    Span.end_span ~args:[ ("candidates", Span.Int !n_cand) ] ();
-  let result =
-    if not !found then None
-    else begin
-      let tally = Cost.empty_tally ~modes:m in
-      ptally_into lay ~available tally !best_key;
-      let nodes = Arena.nodes pc.arena !best_placed in
-      let nodes = if !best_root then root :: nodes else nodes in
-      Some
-        {
-          solution = Solution.of_nodes nodes;
-          power = !best_p;
-          cost = !best_c;
-          tally;
-        }
-    end
-  in
-  (match mopt with Some mm -> memo_finish mm | None -> ());
-  if tracing then
-    Span.end_span
-      ~args:
-        [
-          ("nodes", Span.Int (Tree.size tree));
-          ("prune", Span.Bool prune);
-          ("domains", Span.Int domains);
-          ("memo", Span.Bool (mopt <> None));
-          ("solved", Span.Bool (result <> None));
-        ]
-      ();
-  result
-
-let wide_solve tree ~modes ~power ~cost ~bound ~prune ~domains mopt =
-  let ctx =
-    match mopt with
-    | None -> None
-    | Some mm ->
-        memo_prepare mm ~modes ~prune ~layout:None;
-        Some (mm, Tree.subtree_fingerprints tree)
-  in
-  let tracing = Span.enabled () in
-  if tracing then Span.begin_span "dp_power.solve";
-  let best = ref None in
-  List.iter
-    (fun r ->
-      if r.cost <= bound then
-        match !best with
-        | Some b when (b.power, b.cost) <= (r.power, r.cost) -> ()
-        | Some _ | None -> best := Some r)
-    (candidates ~ctx tree ~modes ~power ~cost ~prune ~domains);
-  (match mopt with Some mm -> memo_finish mm | None -> ());
-  if tracing then
-    Span.end_span
-      ~args:
-        [
-          ("nodes", Span.Int (Tree.size tree));
-          ("prune", Span.Bool prune);
-          ("domains", Span.Int domains);
-          ("memo", Span.Bool (mopt <> None));
-          ("solved", Span.Bool (!best <> None));
-        ]
-      ();
-  !best
-
-let solve tree ~modes ~power ~cost ?(bound = infinity) ?prune ?packed
-    ?(domains = 1) ?memo:m () =
-  if Cost.mode_count cost <> Modes.count modes then
-    invalid_arg "Dp_power: cost model mode count mismatch";
+(* Scan the root WITHOUT materializing candidates — cost and power go
+   through one scratch tally, and only the winner is decoded. The
+   non-strict replace keeps the last-scanned of equal (power, cost)
+   candidates, the tie-break [frontier] shares. *)
+let solve tree ~modes ~power ~cost ?(bound = infinity) ?prune ?(domains = 1)
+    ?memo:mm () =
+  check_modes ~modes ~cost;
   (* Pruning is exact for the pure MinPower problem regardless of the
      cost model, and for bounded problems under mode-monotone costs —
-     see the proof above [prune_dominated]. *)
+     see the proof above [pprune]. *)
   let prune =
     match prune with
     | Some p -> p
     | None -> bound = infinity || Cost.is_mode_monotone cost
   in
-  let layout =
-    match packed with
-    | Some false -> None
-    | Some true -> (
-        match layout_for tree ~modes with
-        | Some _ as l -> l
-        | None ->
-            invalid_arg "Dp_power: instance exceeds the 62-bit packed key budget"
-        )
-    | None -> layout_for tree ~modes
+  let tracing = Span.enabled () in
+  if tracing then Span.begin_span "dp_power.solve";
+  let tier, bits, lay = layout_for tree ~modes in
+  let memo =
+    match (mm, lay) with
+    | Some mm, Some lay ->
+        memo_prepare mm ~modes ~prune lay;
+        Some (mm, Tree.subtree_fingerprints tree)
+    | _ -> None
   in
-  match layout with
-  | Some lay -> psolve lay tree ~modes ~power ~cost ~bound ~prune ~domains m
-  | None -> wide_solve tree ~modes ~power ~cost ~bound ~prune ~domains m
+  let root = root_table ?memo tree ~modes ~prune ~domains lay in
+  let scratch = Cost.empty_tally ~modes:(Modes.count modes) in
+  let best = ref (-1) and best_p = ref infinity and best_c = ref infinity in
+  enumerate ~modes root (fun id v ->
+      tally_into root scratch v;
+      let c = Cost.modal_cost cost scratch in
+      if c <= bound then begin
+        let p = power_of ~modes ~power v in
+        if !best < 0 || p < !best_p || (p = !best_p && c <= !best_c) then begin
+          best := id;
+          best_p := p;
+          best_c := c
+        end
+      end);
+  let result =
+    if !best < 0 then None else Some (candidate ~modes ~power ~cost root !best)
+  in
+  (match memo with Some (mm, _) -> memo_finish mm | None -> ());
+  if tracing then
+    Span.end_span
+      ~args:
+        [
+          ("nodes", Span.Int (Tree.size tree));
+          ("layout", Span.Str tier);
+          ("key_bits", Span.Int bits);
+          ("prune", Span.Bool prune);
+          ("domains", Span.Int domains);
+          ("memo", Span.Bool (memo <> None));
+          ("solved", Span.Bool (result <> None));
+        ]
+      ();
+  result
 
 let frontier ?prune ?(domains = 1) tree ~modes ~power ~cost =
+  check_modes ~modes ~cost;
   (* The frontier sweeps every cost bound at once, so pruning is only
      exact under mode-monotone costs. *)
   let prune =
     match prune with Some p -> p | None -> Cost.is_mode_monotone cost
   in
-  let all =
-    match layout_for tree ~modes with
-    | Some lay -> pcandidates lay tree ~modes ~power ~cost ~prune ~domains
-    | None -> candidates tree ~modes ~power ~cost ~prune ~domains
+  let _, _, lay = layout_for tree ~modes in
+  let root = root_table tree ~modes ~prune ~domains lay in
+  let scratch = Cost.empty_tally ~modes:(Modes.count modes) in
+  let rows = ref [] in
+  enumerate ~modes root (fun id v ->
+      tally_into root scratch v;
+      let c = Cost.modal_cost cost scratch in
+      rows := (c, power_of ~modes ~power v, id) :: !rows);
+  (* Stable sort of the reversed scan: of equal (cost, power) rows the
+     last scanned comes first, as in [solve]. Keep points that strictly
+     improve power as cost increases; decode only those. *)
+  let rows =
+    List.stable_sort
+      (fun (c1, p1, _) (c2, p2, _) -> compare (c1, p1) (c2, p2))
+      !rows
   in
-  let all =
-    List.sort (fun a b -> compare (a.cost, a.power) (b.cost, b.power)) all
-  in
-  (* Keep points that strictly improve power as cost increases. *)
-  let rec filter best_power = function
+  let rec pareto best = function
     | [] -> []
-    | r :: rest ->
-        if r.power < best_power then r :: filter r.power rest
-        else filter best_power rest
+    | (_, p, id) :: rest ->
+        if p < best then candidate ~modes ~power ~cost root id :: pareto p rest
+        else pareto best rest
   in
-  filter infinity all
+  pareto infinity rows
 
 let root_state_count ?(prune = false) ?(domains = 1) tree ~modes =
-  match layout_for tree ~modes with
-  | Some lay ->
-      let pc = make_pctx lay in
-      Int_table.length
-        (ptable pc tree ~modes ~prune ~domains ~depth:0 (Tree.root tree))
-  | None ->
-      Tbl.length (table_of None tree ~modes ~prune ~domains (Tree.root tree))
+  let _, _, lay = layout_for tree ~modes in
+  (root_table tree ~modes ~prune ~domains lay).cells
 
 (* Allocation probe: minor words allocated by rebuilding the whole
    packed table pyramid with warm scratch buffers — the quantity the
@@ -1346,9 +953,10 @@ let root_state_count ?(prune = false) ?(domains = 1) tree ~modes =
    cancels the constant metering overhead (float boxing in bytecode). *)
 let merge_minor_words tree ~modes ~prune =
   match layout_for tree ~modes with
-  | None ->
-      invalid_arg "Dp_power.merge_minor_words: instance exceeds the packed key budget"
-  | Some lay ->
+  | _, _, None ->
+      invalid_arg
+        "Dp_power.merge_minor_words: instance exceeds the packed key budget"
+  | _, _, Some lay ->
       let root = Tree.root tree in
       let pc = make_pctx lay in
       ignore (ptable pc tree ~modes ~prune ~domains:1 ~depth:0 root);

@@ -77,20 +77,24 @@
     key layout changes, and is observable through
     [dp_power.memo_{hits,partial,misses}].
 
-    {2 Packed representation}
+    {2 Representation}
 
-    When the instance's state vector fits a 62-bit budget
-    ({!packed_bits}), the solver switches to a packed fast path: keys
-    are bit-packed unboxed ints ({!Packed_key}), tables are flat
+    Keys are bit-packed unboxed ints ({!Packed_key}), tables are flat
     open-addressing [int -> int] tables ({!Int_table}), and placements
-    are handles into a flat {!Arena} — the child-merge convolution then
-    runs over per-depth scratch buffers and allocates {e zero} GC words
+    are handles into a flat {!Arena} — the child-merge convolution runs
+    over per-depth scratch buffers and allocates {e zero} GC words
     ({!merge_minor_words} measures exactly that; the bench gate pins it
-    to 0). Both representations compute the same optimum, the same
-    Pareto frontier and the same [dp_power.*] counter totals; only the
-    tie-broken representative placement may differ (table iteration
-    orders differ). [?packed] overrides the automatic choice — mostly
-    for differential tests pitting the two paths against each other. *)
+    to 0). The layout is sized in two tiers: uniform N-wide count
+    fields, else tight per-field maxima (new-server counts by the
+    number of nodes that are not pre-existing, reuse counts by the
+    pre-existing census per initial mode); {!packed_bits} reports the
+    width. An instance whose tight layout still exceeds 62 bits
+    (e.g. M ≥ 8 with pre-existing servers at several initial modes)
+    falls back to [int array] keys: the same optimum, Pareto frontier
+    and [dp_power.*] counter totals, but sequential and memo-less —
+    [?domains] and [?memo] are no-ops there. The chosen tier and width
+    are recorded on the [dp_power.solve] span ([layout] =
+    uniform|tight|wide, [key_bits]). *)
 
 type result = {
   solution : Solution.t;
@@ -116,7 +120,6 @@ val solve :
   cost:Cost.modal ->
   ?bound:float ->
   ?prune:bool ->
-  ?packed:bool ->
   ?domains:int ->
   ?memo:memo ->
   unit ->
@@ -124,13 +127,11 @@ val solve :
 (** Minimal-power placement among those of cost at most [bound] (default
     [infinity], i.e. the pure [MinPower] problem). [None] when no valid
     placement meets the bound. [prune] defaults to the exactness rule
-    above ([bound = infinity || Cost.is_mode_monotone cost]); [packed]
-    defaults to automatic (packed iff the instance fits, see
-    {!packed_bits}); [domains] defaults to [1] (sequential) and is
-    ignored when [memo] is given.
+    above ([bound = infinity || Cost.is_mode_monotone cost]);
+    [domains] defaults to [1] (sequential) and is ignored when [memo]
+    is given or the instance takes the wide fallback.
     @raise Invalid_argument if the cost model's mode count differs from
-    [modes], or if [~packed:true] is forced on an instance that exceeds
-    the packed key budget. *)
+    [modes]. *)
 
 val frontier :
   ?prune:bool ->
@@ -156,9 +157,9 @@ val root_state_count : ?prune:bool -> ?domains:int -> Tree.t -> modes:Modes.t ->
     dominance pruning. *)
 
 val packed_bits : Tree.t -> modes:Modes.t -> int option
-(** Width in bits of the packed key this instance would use, [None]
-    when it exceeds the 62-bit budget and the solver falls back to the
-    wide representation. *)
+(** Width in bits of the packed key this instance uses, [None] when
+    even the tight layout exceeds the 62-bit budget and the solver
+    takes the wide fallback. *)
 
 val merge_minor_words : Tree.t -> modes:Modes.t -> prune:bool -> float
 (** Minor-heap words allocated while rebuilding the full packed table

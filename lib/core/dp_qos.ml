@@ -33,7 +33,7 @@
    Representation: tables are flat — a cell is a singly-linked frontier
    threaded through one per-solve entry pool (parallel int arrays:
    flow, slack, placement handle, next), and placements are {!Arena}
-   handles instead of boxed [Clist] spines. Frontier order, insert
+   handles. Frontier order, insert
    semantics and counter totals are identical to the historical boxed
    form, so placements (and the [Dp_withpre] agreement on unconstrained
    trees) are bit-for-bit unchanged. *)

@@ -132,6 +132,16 @@ let replace t key v =
     t.vals.(j) <- v
   end
 
+(* A fresh table holding [t]'s entries in the same insertion order,
+   sized to its current length — how a pooled scratch table is kept
+   past its reuse (e.g. in a memo). *)
+let copy t =
+  let c = create ~capacity:t.count () in
+  for i = 0 to t.count - 1 do
+    c.vals.(reserve c t.keys.(i)) <- t.vals.(i)
+  done;
+  c
+
 let iter t f =
   for i = 0 to t.count - 1 do
     f t.keys.(i) t.vals.(i)

@@ -39,6 +39,10 @@ val get : t -> int -> int
 val replace : t -> int -> int -> unit
 (** Insert or overwrite. *)
 
+val copy : t -> t
+(** An independent table with the same entries in the same insertion
+    order, sized to [length t] (not to [t]'s backing storage). *)
+
 val iter : t -> (int -> int -> unit) -> unit
 (** Insertion-order iteration over [(key, value)]. *)
 

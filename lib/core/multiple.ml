@@ -31,33 +31,32 @@ type result = { solution : Solution.t; servers : int }
 
 (* Per-node table over the exact number of replicas strictly below the
    node: flow-minimal placement, flows unbounded (they may be served by
-   several ancestors). *)
-type cell = { flow : int; placed : int Clist.t }
+   several ancestors). Placements are [Arena] handles, built only when
+   the cell wins. *)
+type cell = { flow : int; placed : int }
 
-let set table k candidate =
-  match table.(k) with
-  | Some current when current.flow <= candidate.flow -> ()
-  | Some _ | None -> table.(k) <- Some candidate
+let better table k flow =
+  match table.(k) with Some c -> flow < c.flow | None -> true
 
-let rec table_of tree ~w j =
+let rec table_of arena tree ~w j =
   let start = Array.make 1 None in
-  start.(0) <- Some { flow = Tree.client_load tree j; placed = Clist.empty };
-  List.fold_left (merge tree ~w) start (Tree.children tree j)
+  start.(0) <- Some { flow = Tree.client_load tree j; placed = Arena.empty };
+  List.fold_left (merge arena tree ~w) start (Tree.children tree j)
 
-and merge tree ~w left c =
-  let sub = table_of tree ~w c in
+and merge arena tree ~w left c =
+  let sub = table_of arena tree ~w c in
   let extended = Array.make (Array.length sub + 1) None in
   Array.iteri
     (fun k cell_opt ->
       match cell_opt with
       | None -> ()
       | Some cell ->
-          set extended k cell;
-          set extended (k + 1)
-            {
-              flow = max 0 (cell.flow - w);
-              placed = Clist.snoc cell.placed c;
-            })
+          if better extended k cell.flow then extended.(k) <- Some cell;
+          let flow = max 0 (cell.flow - w) in
+          if better extended (k + 1) flow then
+            extended.(k + 1) <-
+              Some
+                { flow; placed = Arena.snoc arena cell.placed ~node:c ~flow:0 })
     sub;
   let merged = Array.make (Array.length left + Array.length extended - 1) None in
   Array.iteri
@@ -70,11 +69,11 @@ and merge tree ~w left c =
               match r with
               | None -> ()
               | Some rc ->
-                  set merged (k1 + k2)
-                    {
-                      flow = lc.flow + rc.flow;
-                      placed = Clist.append lc.placed rc.placed;
-                    })
+                  let flow = lc.flow + rc.flow in
+                  if better merged (k1 + k2) flow then
+                    merged.(k1 + k2) <-
+                      Some
+                        { flow; placed = Arena.append arena lc.placed rc.placed })
             extended)
     left;
   merged
@@ -82,7 +81,8 @@ and merge tree ~w left c =
 let solve tree ~w =
   if w <= 0 then invalid_arg "Multiple.solve: w must be positive";
   let root = Tree.root tree in
-  let table = table_of tree ~w root in
+  let arena = Arena.create () in
+  let table = table_of arena tree ~w root in
   let best = ref None in
   Array.iteri
     (fun k cell_opt ->
@@ -96,12 +96,12 @@ let solve tree ~w =
           in
           if cell.flow = 0 then consider k cell.placed
           else if cell.flow <= w then
-            consider (k + 1) (Clist.snoc cell.placed root))
+            consider (k + 1) (Arena.snoc arena cell.placed ~node:root ~flow:0))
     table;
   match !best with
   | None -> None
   | Some (servers, placed) ->
-      Some { solution = Solution.of_nodes (Clist.to_list placed); servers }
+      Some { solution = Solution.of_nodes (Arena.nodes arena placed); servers }
 
 let min_servers_lower_bound tree ~w =
   if w <= 0 then invalid_arg "Multiple.min_servers_lower_bound";

@@ -24,8 +24,9 @@
      happen by construction.
 
    [make] refuses layouts beyond 62 bits (the portable OCaml int
-   budget, keeping every key non-negative); the solver then falls back
-   to the wide [int array] representation. A field with maximum 0
+   budget, keeping every key non-negative); the solver then retries
+   with tighter maxima and, past those, takes its sequential [int
+   array] fallback. A field with maximum 0
    gets width 0 — it always reads 0 and is never bumped (a field is
    only ever incremented for a node that exists, and a 0 maximum means
    no such node does). *)
@@ -45,6 +46,9 @@ let bits_for v =
   go 0 v
 
 let max_bits = 62
+
+let width ~count_max ~flow_max =
+  Array.fold_left (fun acc c -> acc + bits_for c) (bits_for flow_max) count_max
 
 let make ~m ~count_max ~flow_max =
   let nf = m + (m * m) in
@@ -79,14 +83,9 @@ let make ~m ~count_max ~flow_max =
   end
 
 let total_bits l = l.total_bits
-let mode_count l = l.m
 let flow_bits l = l.flow_bits
 
 let equal la lb = la.m = lb.m && la.widths = lb.widths
-
-(* Field indices, mirroring Dp_power's array layout. *)
-let n_field _l ~operating = operating - 1
-let e_field l ~initial ~operating = l.m + ((initial - 1) * l.m) + (operating - 1)
 
 let[@inline] flow l key = key land l.flow_mask
 

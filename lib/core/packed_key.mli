@@ -17,16 +17,19 @@ val make : m:int -> count_max:int array -> flow_max:int -> layout option
 (** [make ~m ~count_max ~flow_max] sizes a layout for [m] modes, the
     given per-field count maxima ([m + m*m] entries, same order as the
     vector) and maximal flow. [None] when the packed key would exceed
-    62 bits — callers then fall back to the wide [int array]
-    representation. A field with maximum 0 gets width 0: it always
-    reads 0 and must never be bumped.
+    62 bits — {!Dp_power} then retries with tighter maxima and, past
+    those, takes its sequential [int array] fallback. A field with
+    maximum 0 gets width 0: it always reads 0 and must never be
+    bumped.
     @raise Invalid_argument on negative maxima or a wrong-length
     [count_max]. *)
 
+val width : count_max:int array -> flow_max:int -> int
+(** Bits a layout for these maxima needs; {!make} succeeds iff this is
+    at most 62. *)
+
 val total_bits : layout -> int
 (** Total key width in bits (≤ 62). *)
-
-val mode_count : layout -> int
 
 val flow_bits : layout -> int
 (** Width of the flow field. *)
@@ -37,12 +40,9 @@ val equal : layout -> layout -> bool
 
 (** {1 Field access}
 
-    Fields are indexed as in the wide vector: [n_field] for new-server
-    counts, [e_field] for reused (initial, operating) pairs; modes are
-    1-based. *)
-
-val n_field : layout -> operating:int -> int
-val e_field : layout -> initial:int -> operating:int -> int
+    Fields are indexed as in the wide vector: [0 .. m-1] for new-server
+    counts, [m + (i0-1)*m + (op-1)] for reused (initial, operating)
+    pairs, [m + m*m] for the flow. *)
 
 val flow : layout -> int -> int
 (** Flow field of a key. *)

@@ -26,9 +26,10 @@ let specs_for = function
         hard [ "pruned"; "cost" ] Exact;
         hard [ "pruned"; "servers" ] Exact;
         (* The DP's work counters are bit-deterministic for a fixed
-           seed and identical between the packed and wide
-           representations, so they pin exactly — any drift means the
-           set semantics of the merge changed. *)
+           seed, at any domain count and on either key representation
+           (the packed traversal or its over-budget int-array
+           fallback), so they pin exactly — any drift means the set
+           semantics of the merge changed. *)
         hard [ "unpruned"; "dp_power.merge_products" ] Exact;
         hard [ "pruned"; "dp_power.merge_products" ] Exact;
         hard [ "unpruned"; "dp_power.cells_created" ] Exact;

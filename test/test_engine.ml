@@ -158,6 +158,57 @@ let test_incremental_memo_reuse () =
   in
   check cb "memo hits on warm epochs" true (hits > 0)
 
+let test_incremental_power_memo_reuse () =
+  (* The power-mode counterpart: on alternating demand phases the
+     Dp_power memo must serve cached tables on warm epochs — every one
+     of them doing strictly less merge work than a full re-solve of the
+     same epoch — while picking the same placements. (A warm epoch
+     whose whole root fold is cached merges nothing and records no
+     memo counter: prefix hits are not counted.) *)
+  let tree = small_tree (Rng.create 5) ~nodes:12 ~max_requests:3 in
+  let other =
+    Tree.with_clients tree (fun j ->
+        match Tree.clients tree j with
+        | c :: rest when j mod 2 = 0 -> (c + 1) :: rest
+        | cs -> cs)
+  in
+  let demands = List.init 8 (fun i -> if i mod 2 = 0 then tree else other) in
+  let objective =
+    Engine.Min_power
+      {
+        modes = modes_2;
+        power = power_exp3;
+        cost = cost_cheap;
+        bound = infinity;
+      }
+  in
+  let run solver =
+    let t =
+      Engine.create
+        (Engine.config ~policy:Update_policy.Systematic ~solver ~w:10 objective)
+    in
+    List.map (Engine.step t) demands
+  in
+  let counter name (e : Timeline.entry) =
+    try List.assoc name e.Timeline.counters with Not_found -> 0
+  in
+  let full = run Engine.Full and incremental = run Engine.Incremental in
+  let warm = ref [] in
+  List.iter2
+    (fun (f : Timeline.entry) (i : Timeline.entry) ->
+      let label what = Printf.sprintf "epoch %d: %s" f.Timeline.epoch what in
+      check cb (label "identical placement") true
+        (Solution.equal f.Timeline.servers i.Timeline.servers);
+      if f.Timeline.epoch >= 2 then begin
+        warm := i :: !warm;
+        check cb (label "fewer merge products than full") true
+          (counter "dp_power.merge_products" i
+          < counter "dp_power.merge_products" f)
+      end)
+    full incremental;
+  check cb "memo hits on warm epochs" true
+    (List.exists (fun e -> counter "dp_power.memo_hits" e > 0) !warm)
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -199,6 +250,8 @@ let () =
           Alcotest.test_case "systematic policy" `Quick
             test_systematic_reconfigures_every_epoch;
           Alcotest.test_case "memo reuse" `Quick test_incremental_memo_reuse;
+          Alcotest.test_case "power memo reuse" `Quick
+            test_incremental_power_memo_reuse;
           Alcotest.test_case "timeline json" `Quick test_timeline_json_shape;
         ] );
     ]

@@ -1,5 +1,6 @@
-(* Property tests for the packed DP state keys ({!Packed_key}) and the
-   packed/wide agreement of {!Dp_power}. *)
+(* Property tests for the packed DP state keys ({!Packed_key}), the
+   layout tiers of {!Dp_power}, and its wide fallback against the
+   brute-force oracle. *)
 
 open Replica_tree
 open Replica_core
@@ -134,59 +135,224 @@ let test_budget_boundary () =
     (Invalid_argument "Packed_key.make: negative count_max") (fun () ->
       ignore (Packed_key.make ~m:1 ~count_max:[| -1; 0 |] ~flow_max:0))
 
-(* Packed and wide solves agree on the optimum (power, cost) and both
-   return valid placements achieving them; the frontier agrees as a
-   (cost, power) point set. *)
-let qos_free_tree_gen =
-  QCheck2.Gen.map
-    (fun (seed, nodes, pre) ->
-      let rng = Rng.create seed in
-      let nodes = 1 + (nodes mod 9) in
-      let t = small_tree rng ~nodes ~max_requests:5 in
-      Generator.add_pre_existing rng t (pre mod (nodes + 1)))
-    QCheck2.Gen.(triple (int_bound 1_000_000) (int_bound 1_000) (int_bound 1_000))
+(* Tight tier: new-server fields are sized by N - E, since every new
+   server sits on a node that is not pre-existing. On a 128-node path
+   with M = 4 capacities up to 15 (a 4-bit flow), the uniform layout
+   needs 20 fields x 8 bits; the tight one sizes the four n fields by
+   N - E and the four reuse fields of the one initial mode by E. *)
+let test_tight_tier () =
+  let modes = Modes.make [ 3; 6; 10; 15 ] in
+  let path = Generator.path ~n:128 ~client_requests:1 in
+  let pre e = Tree.with_pre_existing path (List.init e (fun j -> (j, 2))) in
+  let bits e = Dp_power.packed_bits (pre e) ~modes in
+  Alcotest.(check (option int))
+    "N = E = 128: zero-width n fields, 4 x 8 + 4" (Some 36) (bits 128);
+  Alcotest.(check (option int))
+    "E = 100: 4 x bits(28) + 4 x bits(100) + 4" (Some 52) (bits 100);
+  Alcotest.(check (option int))
+    "E = 1: 4 x bits(127) + 4 x 1 + 4" (Some 36) (bits 1)
 
-let prop_packed_vs_wide_solve =
-  qcheck_case ~count:60 "dp_power: packed and wide solves agree"
-    qos_free_tree_gen (fun t ->
-      List.for_all
+(* The wide fallback serves instances whose tight layout still exceeds
+   62 bits. Every case first checks that it is over budget, so the
+   tests keep hitting the fallback if layouts tighten later. *)
+let assert_wide name tree ~modes =
+  Alcotest.(check (option int))
+    (name ^ ": over the packed budget") None
+    (Dp_power.packed_bits tree ~modes)
+
+let close a b = abs_float (a -. b) <= 1e-9 *. Float.max 1. (abs_float b)
+
+let agrees_with_brute t ~modes ~power ~cost ~bound =
+  match
+    ( Dp_power.solve t ~modes ~power ~cost ~bound (),
+      Brute.min_power t ~modes ~power ~cost ~bound () )
+  with
+  | None, None -> true
+  | Some d, Some (b, _) ->
+      close d.Dp_power.power b
+      && d.Dp_power.cost <= bound *. (1. +. 1e-9)
+      && Solution.is_valid t ~w:(Modes.max_capacity modes) d.Dp_power.solution
+      && close
+           (Solution.power t modes power d.Dp_power.solution)
+           d.Dp_power.power
+      && close
+           (Solution.modal_cost t modes cost d.Dp_power.solution)
+           d.Dp_power.cost
+  | Some _, None | None, Some _ -> false
+
+(* The Theorem 2 gadgets on 7 and 8 items (M = 9 and 10, 15 and 17
+   nodes): the decision matches 2-Partition and the optimum matches
+   the oracle. *)
+let test_npc_gadgets () =
+  List.iter
+    (fun items ->
+      let inst = Npc.build items in
+      let name = String.concat "," (List.map string_of_int items) in
+      let modes = inst.Npc.modes in
+      assert_wide name inst.Npc.tree ~modes;
+      check cb (name ^ ": decide = 2-Partition")
+        (Npc.two_partition_exists items) (Npc.decide inst);
+      let cost =
+        Cost.modal_uniform ~modes:(Modes.count modes) ~create:0. ~delete:0.
+          ~changed:0.
+      in
+      check cb (name ^ ": optimum = brute") true
+        (agrees_with_brute inst.Npc.tree ~modes ~power:inst.Npc.power ~cost
+           ~bound:infinity))
+    [ [ 2; 3; 4; 5; 6; 7; 9 ]; [ 1; 2; 3; 4; 5; 6; 7; 8 ] ]
+
+(* M = 8 with two pre-existing servers at each of three initial modes:
+   the six reuse rows alone need 48 bits. *)
+let modes_8 = Modes.make [ 2; 3; 4; 5; 6; 8; 10; 12 ]
+
+let m8_tree seed =
+  let rng = Rng.create seed in
+  let t = small_tree rng ~nodes:(8 + (seed mod 5)) ~max_requests:5 in
+  let chosen = Rng.sample_without_replacement rng 6 (Tree.size t) in
+  Tree.with_pre_existing t
+    (List.mapi (fun i j -> (j, [| 1; 4; 8 |].(i mod 3))) chosen)
+
+let test_m8_vs_brute () =
+  let power = Power.paper_exp3 ~modes:modes_8 in
+  let cost =
+    Cost.modal_uniform ~modes:8 ~create:0.4 ~delete:0.3 ~changed:0.1
+  in
+  List.iter
+    (fun seed ->
+      let t = m8_tree seed in
+      let name = Printf.sprintf "seed %d" seed in
+      assert_wide name t ~modes:modes_8;
+      List.iter
         (fun bound ->
-          let solve packed =
-            Dp_power.solve t ~modes:modes_2 ~power:power_exp3 ~cost:cost_cheap
-              ~bound ~packed ()
-          in
-          match (solve true, solve false) with
-          | None, None -> true
-          | Some p, Some w ->
-              abs_float (p.Dp_power.power -. w.Dp_power.power) < 1e-9
-              && abs_float (p.Dp_power.cost -. w.Dp_power.cost) < 1e-9
-              && Solution.is_valid t
-                   ~w:(Modes.max_capacity modes_2)
-                   p.Dp_power.solution
-          | Some _, None | None, Some _ -> false)
-        [ 2.; 5.; infinity ])
-
-let prop_packed_vs_wide_frontier =
-  qcheck_case ~count:40 "dp_power: packed and wide frontiers agree"
-    qos_free_tree_gen (fun t ->
-      let points l =
-        List.map (fun r -> (r.Dp_power.cost, r.Dp_power.power)) l
-      in
-      (* [frontier] has no ?packed switch; pit the automatic (packed)
-         path against the wide candidates by comparing against bounded
-         wide solves at every frontier cost. *)
-      let fr =
-        Dp_power.frontier t ~modes:modes_2 ~power:power_exp3 ~cost:cost_cheap
-      in
-      List.for_all
-        (fun (c, p) ->
+          check cb
+            (Printf.sprintf "%s bound %g: optimum = brute" name bound)
+            true
+            (agrees_with_brute t ~modes:modes_8 ~power ~cost ~bound))
+        [ infinity; 3.; 1.5 ];
+      (* Every frontier point is the oracle's optimum at its cost. *)
+      List.iter
+        (fun (r : Dp_power.result) ->
           match
-            Dp_power.solve t ~modes:modes_2 ~power:power_exp3 ~cost:cost_cheap
-              ~bound:c ~packed:false ()
+            Brute.min_power t ~modes:modes_8 ~power ~cost
+              ~bound:r.Dp_power.cost ()
           with
-          | Some w -> abs_float (w.Dp_power.power -. p) < 1e-9
-          | None -> false)
-        (points fr))
+          | Some (b, _) ->
+              check cb (name ^ ": frontier point optimal") true
+                (close r.Dp_power.power b)
+          | None -> Alcotest.fail (name ^ ": frontier point infeasible"))
+        (Dp_power.frontier t ~modes:modes_8 ~power ~cost))
+    [ 1; 2; 3; 4; 5; 6 ]
+
+(* Packed and wide solves of one objective, past the oracle's reach
+   if need be: under the server-count cost (create = delete = changed
+   = 0, so cost = R) neither cost nor power depends on which nodes are
+   pre-existing. A tree without pre-existing servers packs (M = 8
+   needs only its n fields); re-marking six of its 8-14 nodes at three
+   initial modes pushes the twin over budget. Both must reach the same
+   optimum at every bound and the same frontier. *)
+let count_cost = Cost.modal_uniform ~modes:8 ~create:0. ~delete:0. ~changed:0.
+
+let power_8 = Power.paper_exp3 ~modes:modes_8
+
+let twin_gen =
+  QCheck2.Gen.map
+    (fun seed ->
+      let rng = Rng.create seed in
+      let t = small_tree rng ~nodes:(8 + Rng.int rng 7) ~max_requests:5 in
+      let chosen = Rng.sample_without_replacement rng 6 (Tree.size t) in
+      ( t,
+        Tree.with_pre_existing t
+          (List.mapi (fun i j -> (j, [| 1; 4; 8 |].(i mod 3))) chosen) ))
+    QCheck2.Gen.(int_bound 1_000_000)
+
+let crosses_tiers (packed, wide) =
+  Dp_power.packed_bits packed ~modes:modes_8 <> None
+  && Dp_power.packed_bits wide ~modes:modes_8 = None
+
+let prop_twin_solves =
+  qcheck_case ~count:40 "dp_power: packed and wide solves agree" twin_gen
+    (fun ((packed, wide) as twins) ->
+      crosses_tiers twins
+      && List.for_all
+           (fun bound ->
+             let solve t =
+               Dp_power.solve t ~modes:modes_8 ~power:power_8 ~cost:count_cost
+                 ~bound ()
+             in
+             match (solve packed, solve wide) with
+             | None, None -> true
+             | Some p, Some w ->
+                 close p.Dp_power.power w.Dp_power.power
+                 && close p.Dp_power.cost w.Dp_power.cost
+                 && Solution.is_valid wide ~w:(Modes.max_capacity modes_8)
+                      w.Dp_power.solution
+             | Some _, None | None, Some _ -> false)
+           [ infinity; 4.; 2. ])
+
+let prop_twin_frontiers =
+  qcheck_case ~count:40 "dp_power: packed and wide frontiers agree" twin_gen
+    (fun ((packed, wide) as twins) ->
+      let points t =
+        List.map
+          (fun r -> (r.Dp_power.cost, r.Dp_power.power))
+          (Dp_power.frontier t ~modes:modes_8 ~power:power_8 ~cost:count_cost)
+      in
+      crosses_tiers twins
+      && List.equal
+           (fun (c1, p1) (c2, p2) -> close c1 c2 && close p1 p2)
+           (points packed) (points wide))
+
+(* A trace shows which tier each solve took: the [dp_power.solve] span
+   carries [layout] and [key_bits] (for the wide tier, the width the
+   tight layout would have needed). *)
+let test_solve_span_names_layout () =
+  let module Span = Replica_obs.Span in
+  let packed, wide =
+    QCheck2.Gen.generate1 ~rand:(Random.State.make [| 7 |]) twin_gen
+  in
+  let uniform = small_tree (Rng.create 3) ~nodes:9 ~max_requests:5 in
+  Span.reset ();
+  Span.set_enabled true;
+  let spans =
+    Fun.protect
+      ~finally:(fun () ->
+        Span.set_enabled false;
+        Span.reset ())
+      (fun () ->
+        ignore
+          (Dp_power.solve uniform ~modes:modes_2 ~power:power_exp3
+             ~cost:cost_cheap ());
+        List.iter
+          (fun t ->
+            ignore
+              (Dp_power.solve t ~modes:modes_8 ~power:power_8
+                 ~cost:count_cost ()))
+          [ packed; wide ];
+        Span.export ())
+  in
+  let solves =
+    List.filter_map
+      (fun (s : Span.span) ->
+        if s.Span.name <> "dp_power.solve" then None
+        else
+          let arg k = List.assoc_opt k s.Span.args in
+          match (arg "layout", arg "key_bits") with
+          | Some (Span.Str l), Some (Span.Int b) ->
+              Some (s.Span.start_ns, (l, b))
+          | _ -> Alcotest.fail "dp_power.solve span lacks layout/key_bits")
+      spans
+    |> List.sort compare |> List.map snd
+  in
+  let bits t modes = Option.get (Dp_power.packed_bits t ~modes) in
+  match solves with
+  | [ (l1, b1); (l2, b2); (l3, b3) ] ->
+      check (Alcotest.pair Alcotest.string ci) "uniform"
+        ("uniform", bits uniform modes_2) (l1, b1);
+      check (Alcotest.pair Alcotest.string ci) "tight"
+        ("tight", bits packed modes_8) (l2, b2);
+      check Alcotest.string "wide" "wide" l3;
+      check cb "wide width is over budget" true (b3 > 62)
+  | _ -> Alcotest.fail "expected three dp_power.solve spans"
 
 let () =
   Alcotest.run "packed_key"
@@ -201,6 +367,20 @@ let () =
           Alcotest.test_case "62-bit budget boundary" `Quick
             test_budget_boundary;
         ] );
+      ( "layout tiers",
+        [
+          Alcotest.test_case "tight tier sizes n by N - E" `Quick
+            test_tight_tier;
+          Alcotest.test_case "solve span names the layout" `Quick
+            test_solve_span_names_layout;
+        ] );
+      ( "wide fallback",
+        [
+          Alcotest.test_case "Theorem 2 gadgets vs brute" `Quick
+            test_npc_gadgets;
+          Alcotest.test_case "M = 8, three initial modes vs brute" `Quick
+            test_m8_vs_brute;
+        ] );
       ( "packed vs wide",
-        [ prop_packed_vs_wide_solve; prop_packed_vs_wide_frontier ] );
+        [ prop_twin_solves; prop_twin_frontiers ] );
     ]

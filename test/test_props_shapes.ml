@@ -110,21 +110,28 @@ let prop_power_monotone_in_mode =
       in
       m = 1 || increasing 1)
 
-let prop_clist_append_assoc =
-  qcheck_case "clist append is associative on contents"
-    QCheck2.Gen.(triple (list small_int) (list small_int) (list small_int))
-    (fun (a, b, c) ->
-      let ca = Clist.of_list a and cb = Clist.of_list b and cc = Clist.of_list c in
-      Clist.to_list (Clist.append (Clist.append ca cb) cc)
-      = Clist.to_list (Clist.append ca (Clist.append cb cc))
-      && Clist.to_list (Clist.append ca cb) = a @ b)
+(* An arena placement of [l], built by snocs. *)
+let arena_of t l =
+  List.fold_left (fun acc x -> Arena.snoc t acc ~node:x ~flow:x) Arena.empty l
 
-let prop_clist_length =
-  qcheck_case "clist length agrees with to_list"
-    QCheck2.Gen.(list small_int)
+let prop_arena_append_assoc =
+  qcheck_case "arena append is associative on contents"
+    QCheck2.Gen.(triple (list small_nat) (list small_nat) (list small_nat))
+    (fun (a, b, c) ->
+      let t = Arena.create () in
+      let ca = arena_of t a and cb = arena_of t b and cc = arena_of t c in
+      Arena.nodes t (Arena.append t (Arena.append t ca cb) cc)
+      = Arena.nodes t (Arena.append t ca (Arena.append t cb cc))
+      && Arena.nodes t (Arena.append t ca cb) = a @ b)
+
+let prop_arena_count =
+  qcheck_case "arena count agrees with to_list"
+    QCheck2.Gen.(list small_nat)
     (fun l ->
-      let c = Clist.of_list l in
-      Clist.length c = List.length l && Clist.to_list c = l)
+      let t = Arena.create () in
+      let c = arena_of t l in
+      Arena.count t c = List.length l
+      && Arena.to_list t c = List.map (fun x -> (x, x)) l)
 
 let prop_basic_cost_formula =
   qcheck_case "Eq. 2 equals its closed form"
@@ -183,6 +190,6 @@ let () =
           prop_basic_cost_formula;
         ] );
       ( "structures",
-        [ prop_clist_append_assoc; prop_clist_length ] );
+        [ prop_arena_append_assoc; prop_arena_count ] );
       ("policies", [ prop_update_policy_lazy_subset ]);
     ]
