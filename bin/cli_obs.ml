@@ -233,10 +233,17 @@ let obs_validate_cmd =
         "obs-validate: nothing to validate (pass --trace and/or --metrics)";
       exit 2
     end;
+    let read path =
+      (* Sys_error messages lead with the path, as profile reports them. *)
+      try read_file path
+      with Sys_error e ->
+        Printf.eprintf "obs-validate: %s\n" e;
+        exit 2
+    in
     let ok = ref true in
     Option.iter
       (fun path ->
-        match Replica_obs.Chrome_trace.validate (read_file path) with
+        match Replica_obs.Chrome_trace.validate (read path) with
         | Ok events ->
             Printf.printf "trace %s: valid chrome trace, %d events\n"
               (Filename.basename path) events
@@ -248,7 +255,7 @@ let obs_validate_cmd =
       (fun path ->
         (* The sample count varies with latency bin occupancy, so only
            the verdict is printed — cram tests pin this output. *)
-        match Replica_obs.Prometheus.validate (read_file path) with
+        match Replica_obs.Prometheus.validate (read path) with
         | Ok _ ->
             Printf.printf "metrics %s: valid prometheus exposition\n"
               (Filename.basename path)

@@ -27,11 +27,6 @@ type row = {
   avg_seconds : float;
 }
 
-let time f =
-  let start = Sys.time () in
-  let result = f () in
-  (Sys.time () -. start, result)
-
 (* Every registered power solver, in registration order: the exact DP
    first (the reference the overheads are relative to), then the
    heuristics. A newly registered power algorithm joins the ablation
@@ -52,7 +47,8 @@ let run ?domains config =
   (* Instance setup (frontier sweep + reference optimum — the untimed
      DP work) fans out over domains; RNGs are split sequentially first
      so results are identical at any domain count. The timed solver
-     loop below stays sequential because it measures CPU time. *)
+     loop below stays sequential so no two timed solves share the
+     cores. *)
   let rngs = List.init config.trees (fun _ -> Rng.split master) in
   let prepared =
     Par.map ?domains
@@ -89,7 +85,9 @@ let run ?domains config =
           let request =
             Solver.request ~rng:(Rng.copy rng) ~rounds:config.rounds ()
           in
-          let elapsed, result = time (fun () -> s.Solver.solve problem request) in
+          let elapsed, result =
+            Stats.time (fun () -> s.Solver.solve problem request)
+          in
           seconds := elapsed :: !seconds;
           match (result, optimum) with
           | Some (o : Solver.outcome), Some opt ->

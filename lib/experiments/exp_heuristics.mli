@@ -7,7 +7,7 @@
     climb, simulated annealing — enumerated from
     {!Replica_core.Registry}, so a new power algorithm joins the
     ablation by registering) it reports the average power overhead
-    relative to the DP optimum and the average CPU time, over a batch
+    relative to the DP optimum and the average wall-clock time, over a batch
     of random §5.2 instances. Not a paper figure; an ablation this
     library adds. *)
 
@@ -46,7 +46,7 @@ val run : ?domains:int -> config -> row list
     dp-power (the reference, 0 overhead) first, then gr-power,
     heuristic, multi-start, anneal. [domains] parallelizes only the
     untimed setup (frontier sweep and reference optima); the measured
-    solver runs stay sequential so the reported CPU times remain
+    solver runs stay sequential so the reported wall-clock times remain
     meaningful. *)
 
 val to_table : ?no_time:bool -> row list -> Table.t

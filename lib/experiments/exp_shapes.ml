@@ -43,11 +43,6 @@ let shapes nodes =
     ("bushy (12-16)", profile 12 16);
   ]
 
-let time f =
-  let start = Sys.time () in
-  let result = f () in
-  (Sys.time () -. start, result)
-
 let run config =
   let w = Workload.capacity in
   let modes = Modes.make [ 5; 10 ] in
@@ -68,7 +63,9 @@ let run config =
         heights := float_of_int (Tree.height tree) :: !heights;
         states :=
           float_of_int (Dp_power.root_state_count tree ~modes) :: !states;
-        let secs, dp = time (fun () -> Dp_withpre.solve tree ~w ~cost:config.cost) in
+        let secs, dp =
+          Stats.time (fun () -> Dp_withpre.solve tree ~w ~cost:config.cost)
+        in
         dp_secs := secs :: !dp_secs;
         match (dp, Greedy.solve tree ~w) with
         | Some d, Some g ->

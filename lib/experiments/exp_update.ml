@@ -25,11 +25,6 @@ type row = {
   avg_seconds : float;
 }
 
-let time f =
-  let start = Sys.time () in
-  let result = f () in
-  (Sys.time () -. start, result)
-
 (* Every registered closest-policy cost solver: the exact DPs, the
    local search and the pre-oblivious greedy. Other access policies
    (multiple, upwards) optimize a different feasible set and must not
@@ -70,7 +65,7 @@ let run config =
         (fun tree optimum ->
           let problem = Problem.min_cost tree ~w ~cost in
           let elapsed, result =
-            time (fun () -> s.Solver.solve problem Solver.default_request)
+            Stats.time (fun () -> s.Solver.solve problem Solver.default_request)
           in
           seconds := elapsed :: !seconds;
           match (result, optimum) with

@@ -3,7 +3,7 @@
     Quantifies the §6 proposal of "faster (but sub-optimal) update
     heuristics" against the exact O(N^5) DP: for random trees with
     pre-existing servers, measure each solver's Eq. 2 cost overhead over
-    the DP optimum and its CPU time. The solver set is every
+    the DP optimum and its wall-clock time. The solver set is every
     closest-policy cost solver in {!Replica_core.Registry} (greedy,
     dp-nopre, dp-withpre, heuristic-cost — size-guarded oracles and
     other access policies excluded), so a new cost algorithm joins the

@@ -8,11 +8,6 @@ type measurement = {
   servers : int;
 }
 
-let time f =
-  let start = Sys.time () in
-  let result = f () in
-  (Sys.time () -. start, result)
-
 (* Registry solvers of the requested family that run at any scale:
    closest-policy only (other access policies answer a different
    question) and unguarded (the exhaustive oracle would not survive
@@ -36,7 +31,7 @@ let measure (s : Solver.t) problem ~nodes ~pre_existing =
      order (which measure_* guarantee). *)
   let bytes0 = Gc.allocated_bytes () in
   let seconds, outcome =
-    time (fun () -> s.Solver.solve problem Solver.default_request)
+    Stats.time (fun () -> s.Solver.solve problem Solver.default_request)
   in
   let allocated_mb = (Gc.allocated_bytes () -. bytes0) /. 1e6 in
   {

@@ -6,13 +6,13 @@
     with 10 pre-existing in ~1 h — all on 2010 hardware. We reproduce
     the {e ratios and growth trends} on scaled sizes; Bechamel-based
     micro-benchmarks live in [bench/main.ml], this module provides the
-    coarse-grained CPU-time sweep used by the CLI and the reports. *)
+    coarse-grained wall-clock sweep used by the CLI and the reports. *)
 
 type measurement = {
   algorithm : string;
   nodes : int;
   pre_existing : int;
-  seconds : float;  (** CPU seconds, single run *)
+  seconds : float;  (** wall-clock seconds ({!Stats.time}), single run *)
   allocated_mb : float;  (** megabytes allocated by the solve *)
   peak_major_words : int;
       (** major-heap high-water mark after the solve (cumulative

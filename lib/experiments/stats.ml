@@ -41,6 +41,11 @@ let histogram l =
 
 let mean_int l = mean (List.map float_of_int l)
 
+let time f =
+  let start = Replica_obs.Clock.now_ns () in
+  let result = f () in
+  (float_of_int (Replica_obs.Clock.now_ns () - start) *. 1e-9, result)
+
 let confidence95 l =
   match l with
   | [] | [ _ ] -> 0.

@@ -21,6 +21,11 @@ val histogram : int list -> (int * int) list
 
 val mean_int : int list -> float
 
+val time : (unit -> 'a) -> float * 'a
+(** [time f] runs [f] once and returns its wall-clock seconds on the
+    monotonic {!Replica_obs.Clock}, with its result. Wall time, not CPU
+    time: a solve that fans out over domains is not over-counted. *)
+
 val confidence95 : float list -> float
 (** Half-width of the normal-approximation 95% confidence interval of the
     mean ([1.96 * stddev / sqrt n]); 0 on lists shorter than 2. *)

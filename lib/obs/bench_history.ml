@@ -136,6 +136,8 @@ let specs_for = function
            compiler/runtime versions. *)
         hard [ "minpower_dp"; "nodes" ] Exact;
         hard [ "minpower_dp"; "servers" ] Exact;
+        hard [ "minpower_gr"; "nodes" ] Exact;
+        hard [ "minpower_gr"; "servers" ] Exact;
         hard [ "mincost_greedy"; "nodes" ] Exact;
         hard [ "mincost_greedy"; "servers" ] Exact;
         hard [ "mincost_greedy_qos"; "servers" ] Exact;
@@ -147,6 +149,8 @@ let specs_for = function
           ~abs_floor:10.;
         soft [ "minpower_dp"; "seconds" ] Lower_better ~rel_tol:0.25
           ~abs_floor:0.5;
+        soft [ "minpower_gr"; "seconds" ] Lower_better ~rel_tol:0.25
+          ~abs_floor:0.1;
         soft [ "mincost_greedy"; "seconds" ] Lower_better ~rel_tol:0.25
           ~abs_floor:0.1;
         soft [ "minpower_dp"; "peak_heap_w" ] Lower_better ~rel_tol:0.5
@@ -196,6 +200,7 @@ type report = {
   kind : string;
   comparisons : comparison list;
   missing : string list;
+  dropped : (string * string) list;
   hard_regressions : int;
   soft_regressions : int;
 }
@@ -267,16 +272,27 @@ let diff ?rel_tol ~baseline ~current () =
     | [] -> Error (Printf.sprintf "no metric specs for bench kind %S" bkind)
     | specs -> Ok specs
   in
-  let comparisons, missing =
+  (* A hard metric on one side only means an artifact stopped (or has
+     not yet started) recording a gated figure, which fails the gate; a
+     metric absent from both sides is a spec this artifact never
+     carried, listed as a note. *)
+  let comparisons, missing, dropped =
     List.fold_left
-      (fun (cs, ms) spec ->
+      (fun (cs, ms, ds) spec ->
+        let metric = String.concat "." spec.path in
         match (lookup spec.path baseline, lookup spec.path current) with
         | Some base, Some cur ->
-            (compare_one ?rel_tol spec ~base ~cur :: cs, ms)
-        | _ -> (cs, String.concat "." spec.path :: ms))
-      ([], []) specs
+            (compare_one ?rel_tol spec ~base ~cur :: cs, ms, ds)
+        | Some _, None when spec.severity = Hard ->
+            (cs, ms, (metric, "current") :: ds)
+        | None, Some _ when spec.severity = Hard ->
+            (cs, ms, (metric, "baseline") :: ds)
+        | _ -> (cs, metric :: ms, ds))
+      ([], [], []) specs
   in
-  let comparisons = List.rev comparisons and missing = List.rev missing in
+  let comparisons = List.rev comparisons
+  and missing = List.rev missing
+  and dropped = List.rev dropped in
   let count sev =
     List.length
       (List.filter
@@ -288,7 +304,8 @@ let diff ?rel_tol ~baseline ~current () =
       kind = bkind;
       comparisons;
       missing;
-      hard_regressions = count Hard;
+      dropped;
+      hard_regressions = count Hard + List.length dropped;
       soft_regressions = count Soft;
     }
 
@@ -329,6 +346,12 @@ let render r =
              "warning: %s regressed (%s -> %s); timing metric, not gating\n"
              c.metric (value_str c.base) (value_str c.cur)))
     r.comparisons;
+  List.iter
+    (fun (metric, side) ->
+      Buffer.add_string buf
+        (Printf.sprintf "REGRESSED: hard metric %s missing from %s\n"
+           metric side))
+    r.dropped;
   if r.missing <> [] then
     Buffer.add_string buf
       (Printf.sprintf "missing from one side: %s\n"
@@ -366,6 +389,16 @@ let to_json r =
                  ])
              r.comparisons) );
       ("missing", Json.List (List.map (fun m -> Json.String m) r.missing));
+      ( "dropped",
+        Json.List
+          (List.map
+             (fun (metric, side) ->
+               Json.Obj
+                 [
+                   ("metric", Json.String metric);
+                   ("absent_from", Json.String side);
+                 ])
+             r.dropped) );
       ("hard_regressions", Json.Int r.hard_regressions);
       ("soft_regressions", Json.Int r.soft_regressions);
     ]

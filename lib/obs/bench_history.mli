@@ -62,8 +62,14 @@ type comparison = {
 type report = {
   kind : string;
   comparisons : comparison list;
-  missing : string list;  (** specs absent from either artifact *)
-  hard_regressions : int;
+  missing : string list;
+      (** specs absent from both artifacts, and soft specs present in
+          only one: listed, not gating *)
+  dropped : (string * string) list;
+      (** hard specs present in only one artifact, with the side that
+          lacks them (["baseline"] or ["current"]); each counts as a
+          hard regression *)
+  hard_regressions : int;  (** regressed hard comparisons plus [dropped] *)
   soft_regressions : int;
 }
 

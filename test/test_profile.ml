@@ -479,6 +479,33 @@ let test_bench_diff_missing_metrics_reported () =
   check cb "specs absent from the artifact are listed, not errors" true
     (List.mem "merge_products_ratio" r.BH.missing)
 
+let test_bench_diff_dropped_hard_metric_fails () =
+  (* [merge_minor_words] is a hard Exact spec; recorded on one side only
+     it fails the gate whichever side lacks it. *)
+  let plain = dp_artifact ~products:100 in
+  let with_field name v =
+    match plain with
+    | Json.Obj fields -> Json.Obj (fields @ [ (name, v) ])
+    | _ -> assert false
+  in
+  let with_words = with_field "merge_minor_words" (Json.Int 0) in
+  let r = diff_exn ~baseline:with_words ~current:plain () in
+  check ci "dropped from current" 1 r.BH.hard_regressions;
+  check cb "named with the side lacking it" true
+    (r.BH.dropped = [ ("merge_minor_words", "current") ]);
+  check cb "not a mere note" false (List.mem "merge_minor_words" r.BH.missing);
+  let r = diff_exn ~baseline:plain ~current:with_words () in
+  check cb "absent from the baseline" true
+    (r.BH.dropped = [ ("merge_minor_words", "baseline") ]
+    && r.BH.hard_regressions = 1);
+  (* Soft metrics on one side, and hard ones on neither, stay notes. *)
+  let with_ratio = with_field "merge_products_ratio" (Json.Float 1.3) in
+  let r = diff_exn ~baseline:with_ratio ~current:plain () in
+  check ci "soft spec on one side does not gate" 0 r.BH.hard_regressions;
+  check cb "listed instead" true
+    (List.mem "merge_products_ratio" r.BH.missing
+    && List.mem "merge_minor_words" r.BH.missing)
+
 let () =
   Alcotest.run "profile"
     [
@@ -523,5 +550,7 @@ let () =
             test_bench_diff_gates_alloc_metrics;
           Alcotest.test_case "missing metrics reported" `Quick
             test_bench_diff_missing_metrics_reported;
+          Alcotest.test_case "dropped hard metric fails" `Quick
+            test_bench_diff_dropped_hard_metric_fails;
         ] );
     ]
