@@ -7,6 +7,7 @@ let c_cells = Stats_counters.counter "dp_withpre.cells_created"
 let c_products = Stats_counters.counter "dp_withpre.merge_products"
 let c_capacity = Stats_counters.counter "dp_withpre.capacity_rejected"
 let c_peak = Stats_counters.counter "dp_withpre.peak_table_size"
+let c_pruned = Stats_counters.counter "dp_withpre.dominance_pruned"
 let t_tables = Stats_counters.timer "dp_withpre.tables"
 let c_memo_hits = Stats_counters.counter "dp_withpre.memo_hits"
 let c_memo_partial = Stats_counters.counter "dp_withpre.memo_partial"
@@ -21,24 +22,31 @@ module Span = Replica_obs.Span
 let h_products =
   Replica_obs.Histogram.create "dp_withpre.merge_products_per_node"
 
-(* Flat-table representation. A table indexed by (e, n) — reused
-   pre-existing and new servers strictly below the node — is two flat
-   int arrays over the dense (pre_cap+1) x (new_cap+1) grid: the flow
-   of the representative cell ([-1] = absent) and its placement as an
-   {!Arena} handle. Compared with the former
-   [cell option array array] of boxed records, a cell probe is one
-   load, an insert is two stores, and the merge convolution below
-   allocates zero GC words: placements are arena pushes, cells are
-   int writes.
+(* Staircase tables. A table of node j is indexed by (e, n), the reused
+   pre-existing and new servers strictly below j, and keeps only the
+   cells that can ever be optimal. Eq. 2 charges every new server
+   1 + create > 0, so a cell (e, n, f) is dominated by any cell
+   (e, n' < n, f' <= f) of its row: every completion of the dominated
+   cell also completes the dominating one (less flow never overloads an
+   ancestor) at (n - n')(1 + create) less. Within a row only the cells
+   whose flow strictly drops as n grows survive — at most w + 1 — and
+   the first minimal-flow combination realizing a surviving cell never
+   uses a dropped one, so representatives, and hence placements, are
+   those of the dense DP.
 
-   The dimensions are logical: [flows]/[placed] may be longer than the
-   active grid, which is what lets the per-depth scratch pool reuse
-   one backing array across every sibling merge at that depth. *)
+   A table stores its surviving cells in (e, n) order as parallel int
+   arrays: reused count, new count, flow and placement {!Arena} handle.
+   [pre_cap]/[new_cap] are the logical dimensions (the most reused and
+   new servers below the node). The arrays may be longer than [len]:
+   per-depth scratch tables keep their storage across merges. *)
 type table = {
-  mutable pre_cap : int; (* max reused pre-existing representable *)
-  mutable new_cap : int; (* max new servers representable *)
-  mutable flows : int array; (* stride new_cap + 1; -1 = absent *)
-  mutable placed : int array; (* arena handles, valid where flows >= 0 *)
+  mutable pre_cap : int;
+  mutable new_cap : int;
+  mutable len : int;
+  mutable es : int array;
+  mutable ns : int array;
+  mutable flows : int array;
+  mutable placed : int array;
 }
 
 type result = {
@@ -48,49 +56,49 @@ type result = {
   reused : int;
 }
 
-let fresh_table pre_cap new_cap =
-  let cells = (pre_cap + 1) * (new_cap + 1) in
-  {
-    pre_cap;
-    new_cap;
-    flows = Array.make cells (-1);
-    placed = Array.make cells 0;
-  }
+let empty_table () =
+  { pre_cap = 0; new_cap = 0; len = 0; es = [||]; ns = [||]; flows = [||];
+    placed = [||] }
 
-(* Re-dimension a pooled table, keeping (and only touching the active
-   prefix of) its backing storage. *)
-let reset_table t pre_cap new_cap =
-  let cells = (pre_cap + 1) * (new_cap + 1) in
+(* Room for [cells] cells; the old contents are dropped. *)
+let reserve t cells =
   if Array.length t.flows < cells then begin
     let cap = max cells (2 * Array.length t.flows) in
-    t.flows <- Array.make cap (-1);
+    t.es <- Array.make cap 0;
+    t.ns <- Array.make cap 0;
+    t.flows <- Array.make cap 0;
     t.placed <- Array.make cap 0
   end
-  else Array.fill t.flows 0 cells (-1);
-  t.pre_cap <- pre_cap;
-  t.new_cap <- new_cap
 
-let[@inline] set t e n ~flow ~placed =
-  let i = (e * (t.new_cap + 1)) + n in
-  let cur = t.flows.(i) in
-  if cur < 0 then begin
-    t.flows.(i) <- flow;
-    t.placed.(i) <- placed;
-    Stats_counters.incr c_cells
-  end
-  else if flow < cur then begin
-    t.flows.(i) <- flow;
-    t.placed.(i) <- placed
+(* Node j's fold starts from one cell: its own clients pass up, unless
+   they alone exceed [w]. *)
+let start_cell t ~client ~w =
+  t.pre_cap <- 0;
+  t.new_cap <- 0;
+  if client > w then t.len <- 0
+  else begin
+    reserve t 1;
+    t.es.(0) <- 0;
+    t.ns.(0) <- 0;
+    t.flows.(0) <- client;
+    t.placed.(0) <- Arena.empty;
+    t.len <- 1
   end
 
 let iter_cells t f =
-  for e = 0 to t.pre_cap do
-    let base = e * (t.new_cap + 1) in
-    for n = 0 to t.new_cap do
-      let flow = t.flows.(base + n) in
-      if flow >= 0 then f e n flow t.placed.(base + n)
-    done
+  for i = 0 to t.len - 1 do
+    f t.es.(i) t.ns.(i) t.flows.(i) t.placed.(i)
   done
+
+(* An exact-size copy, for the memo: cached tables outlive the solve. *)
+let copy_table t =
+  {
+    t with
+    es = Array.sub t.es 0 t.len;
+    ns = Array.sub t.ns 0 t.len;
+    flows = Array.sub t.flows 0 t.len;
+    placed = Array.sub t.placed 0 t.len;
+  }
 
 (* Incremental re-solving: a per-node cache of every prefix of the
    child-merge fold, keyed by a fingerprint chain. The table obtained
@@ -135,109 +143,201 @@ let memo_size m = Hashtbl.length m.prefixes
 let fp_seed client =
   Tree.combine_fingerprints 0x2545F4914F6CDD1DL (Int64.of_int client)
 
-(* Per-depth scratch buffers for the memo-less path. The fold at node
-   j (depth d) only ever needs three live tables at depth d — the
-   accumulator, the merge target, and the current child's extension —
-   while the child's own table lives one depth down; so a slot of
-   three pooled tables per depth makes the whole solve reuse O(height)
-   buffers instead of allocating O(N) tables. Cached memo tables must
-   outlive the solve and are allocated fresh instead. *)
-type slot = { mutable s_acc : table; mutable s_alt : table; s_ext : table }
+(* Dense (e, n) staging grid for one extension or merge, with the stride
+   [new_cap + 1] of the table being built: the flow ([-1] = absent) and
+   placement of each cell, plus each row's written range of n, so that
+   compaction visits, and resets, only the cells written. Between two
+   stagings every cell is absent and every range empty. *)
+type grid = {
+  g_flows : int array;
+  g_placed : int array;
+  lo : int array; (* per row: least n written, [max_int] if none *)
+  hi : int array; (* per row: greatest n written, [-1] if none *)
+}
+
+let fresh_grid ~rows ~cells =
+  {
+    g_flows = Array.make cells (-1);
+    g_placed = Array.make cells 0;
+    lo = Array.make rows max_int;
+    hi = Array.make rows (-1);
+  }
+
+(* Per-depth scratch tables. The fold at node j (depth d) needs two
+   live tables at depth d — the accumulator and the current child's
+   extension — while the child's own table lives one depth down; so
+   one slot per depth lets a solve reuse O(height) tables instead of
+   allocating O(N). *)
+type slot = { s_acc : table; s_ext : table }
+
+(* Per-domain scratch, reused across solves: the staging grid, the
+   depth slots and the arena of memo-less solves. A warm solve then
+   allocates only its result (and, with a memo, the tables it caches).
+   Grids up to [max_kept_cells] cells are kept; a solve needing more
+   gets a grid of its own. *)
+type scratch = {
+  mutable grid : grid;
+  mutable slots : slot array; (* indexed by depth; grown on demand *)
+  arena : Arena.t;
+}
+
+let max_kept_cells = 1 lsl 22
+
+let fresh_scratch () =
+  { grid = fresh_grid ~rows:1 ~cells:1; slots = [||]; arena = Arena.create () }
+
+let scratch_key = Domain.DLS.new_key fresh_scratch
+
+let grid_for sc ~rows ~cells =
+  if cells > max_kept_cells then fresh_grid ~rows ~cells
+  else begin
+    let g = sc.grid in
+    if Array.length g.g_flows >= cells && Array.length g.lo >= rows then g
+    else begin
+      let cells = min max_kept_cells (max cells (2 * Array.length g.g_flows)) in
+      let g = fresh_grid ~rows:(max rows (Array.length g.lo)) ~cells in
+      sc.grid <- g;
+      g
+    end
+  end
 
 type ctx = {
   arena : Arena.t;
-  mutable slots : slot array; (* indexed by depth; grown on demand *)
+  grid : grid;
+  sc : scratch;
   memo : (memo * int64 array) option;
 }
 
-let fresh_slot () =
-  { s_acc = fresh_table 0 0; s_alt = fresh_table 0 0; s_ext = fresh_table 0 0 }
-
 let slot ctx depth =
-  let n = Array.length ctx.slots in
-  if depth >= n then begin
-    let slots = Array.init (max (depth + 1) (2 * n)) (fun i ->
-        if i < n then ctx.slots.(i) else fresh_slot ())
-    in
-    ctx.slots <- slots
-  end;
-  ctx.slots.(depth)
+  let sc = ctx.sc in
+  let n = Array.length sc.slots in
+  if depth >= n then
+    sc.slots <-
+      Array.init (max (depth + 1) (2 * n)) (fun i ->
+          if i < n then sc.slots.(i)
+          else { s_acc = empty_table (); s_ext = empty_table () });
+  sc.slots.(depth)
 
-(* The child's table extended with the decision at c itself, written
-   into [into] (already reset to the extended dimensions): every cell
-   passes up unchanged, and absorbing the flow at c moves the cell one
-   server up with flow 0. *)
+let[@inline] touch g e n =
+  if n < g.lo.(e) then g.lo.(e) <- n;
+  if n > g.hi.(e) then g.hi.(e) <- n
+
+(* Compact the staged rows [0, pre_cap] of the grid into [into], keeping
+   each row's staircase in (e, n) order, and reset every written cell.
+   [staged] cells were written, so at most that many are kept. *)
+let compact g ~into ~pre_cap ~new_cap ~staged =
+  let stride = new_cap + 1 in
+  reserve into staged;
+  let k = ref 0 in
+  for e = 0 to pre_cap do
+    let lo = g.lo.(e) and hi = g.hi.(e) in
+    if lo <= hi then begin
+      let base = e * stride in
+      let floor = ref max_int in
+      for i = base + lo to base + hi do
+        let f = g.g_flows.(i) in
+        if f >= 0 then begin
+          if f < !floor then begin
+            floor := f;
+            let j = !k in
+            into.es.(j) <- e;
+            into.ns.(j) <- i - base;
+            into.flows.(j) <- f;
+            into.placed.(j) <- g.g_placed.(i);
+            k := j + 1
+          end;
+          g.g_flows.(i) <- -1
+        end
+      done;
+      g.lo.(e) <- max_int;
+      g.hi.(e) <- -1
+    end
+  done;
+  into.pre_cap <- pre_cap;
+  into.new_cap <- new_cap;
+  into.len <- !k;
+  Stats_counters.add c_cells staged;
+  Stats_counters.add c_pruned (staged - !k)
+
+(* The child's table extended with the decision at c itself, compacted
+   into [into]: every cell passes up unchanged, and absorbing the flow
+   at c moves the cell one server up with flow 0. *)
 let extend ctx tree ~into sub c =
-  let c_pre = Tree.is_pre_existing tree c in
-  iter_cells sub (fun e n flow placed ->
-      set into e n ~flow ~placed;
-      let de = if c_pre then 1 else 0 in
-      let i = ((e + de) * (into.new_cap + 1)) + (n + 1 - de) in
-      let cur = into.flows.(i) in
-      if cur <> 0 then begin
-        (* absorbed cells have flow 0: only an absent or positive-flow
-           occupant can lose to one (ties keep the incumbent) *)
-        let absorbed = Arena.snoc ctx.arena placed ~node:c ~flow in
-        if cur < 0 then begin
-          into.flows.(i) <- 0;
-          into.placed.(i) <- absorbed;
-          Stats_counters.incr c_cells
-        end
-        else begin
-          into.flows.(i) <- 0;
-          into.placed.(i) <- absorbed
-        end
-      end)
+  let g = ctx.grid in
+  let de = if Tree.is_pre_existing tree c then 1 else 0 in
+  let new_cap = sub.new_cap + 1 - de in
+  let stride = new_cap + 1 in
+  let staged = ref 0 in
+  for i = 0 to sub.len - 1 do
+    let e = sub.es.(i) and n = sub.ns.(i) in
+    let flow = sub.flows.(i) and placed = sub.placed.(i) in
+    let oi = (e * stride) + n in
+    let cur = g.g_flows.(oi) in
+    if cur < 0 then begin
+      g.g_flows.(oi) <- flow;
+      g.g_placed.(oi) <- placed;
+      incr staged;
+      touch g e n
+    end
+    else if flow < cur then begin
+      g.g_flows.(oi) <- flow;
+      g.g_placed.(oi) <- placed
+    end;
+    let ea = e + de and na = n + 1 - de in
+    let oi = (ea * stride) + na in
+    let cur = g.g_flows.(oi) in
+    (* absorbed cells have flow 0: only an absent or positive-flow
+       occupant can lose to one (ties keep the incumbent) *)
+    if cur <> 0 then begin
+      if cur < 0 then begin
+        incr staged;
+        touch g ea na
+      end;
+      g.g_flows.(oi) <- 0;
+      g.g_placed.(oi) <- Arena.snoc ctx.arena placed ~node:c ~flow
+    end
+  done;
+  compact g ~into ~pre_cap:(sub.pre_cap + de) ~new_cap ~staged:!staged
 
-(* The convolution kernel: merge [left] and [ext] into [into] (already
-   reset to the combined dimensions). Straight nested loops over the
-   flat arrays; the only data written are int cells and arena pushes —
-   no GC allocation. *)
+(* The convolution kernel: merge [left] and [ext] into [into] (which may
+   be [left]). Live cells only, left-major, each side in (e, n) order —
+   the dense DP's order restricted to the staircases; the only data
+   written are grid ints and arena pushes, no GC allocation. *)
 let convolve ctx ~w ~into left ext =
-  let arena = ctx.arena in
-  let products = ref 0 and rejected = ref 0 and live = ref 0 in
-  let lw = left.new_cap + 1
-  and rw = ext.new_cap + 1
-  and ow = into.new_cap + 1 in
-  for e1 = 0 to left.pre_cap do
-    for n1 = 0 to left.new_cap do
-      let li = (e1 * lw) + n1 in
-      let lf = left.flows.(li) in
-      if lf >= 0 then begin
-        let lp = left.placed.(li) in
-        let obase = (e1 * ow) + n1 in
-        for e2 = 0 to ext.pre_cap do
-          for n2 = 0 to ext.new_cap do
-            let ri = (e2 * rw) + n2 in
-            let rf = ext.flows.(ri) in
-            if rf >= 0 then begin
-              incr products;
-              let flow = lf + rf in
-              if flow <= w then begin
-                let oi = obase + (e2 * ow) + n2 in
-                let cur = into.flows.(oi) in
-                if cur < 0 then begin
-                  into.flows.(oi) <- flow;
-                  into.placed.(oi) <- Arena.append arena lp ext.placed.(ri);
-                  incr live
-                end
-                else if flow < cur then begin
-                  into.flows.(oi) <- flow;
-                  into.placed.(oi) <- Arena.append arena lp ext.placed.(ri)
-                end
-              end
-              else incr rejected
-            end
-          done
-        done
+  let g = ctx.grid and arena = ctx.arena in
+  let pre_cap = left.pre_cap + ext.pre_cap in
+  let new_cap = left.new_cap + ext.new_cap in
+  let stride = new_cap + 1 in
+  let products = left.len * ext.len in
+  let rejected = ref 0 and staged = ref 0 in
+  for i = 0 to left.len - 1 do
+    let lf = left.flows.(i) and lp = left.placed.(i) in
+    let e1 = left.es.(i) and n1 = left.ns.(i) in
+    for k = 0 to ext.len - 1 do
+      let flow = lf + ext.flows.(k) in
+      if flow <= w then begin
+        let e = e1 + ext.es.(k) and n = n1 + ext.ns.(k) in
+        let oi = (e * stride) + n in
+        let cur = g.g_flows.(oi) in
+        if cur < 0 then begin
+          g.g_flows.(oi) <- flow;
+          g.g_placed.(oi) <- Arena.append arena lp ext.placed.(k);
+          incr staged;
+          touch g e n
+        end
+        else if flow < cur then begin
+          g.g_flows.(oi) <- flow;
+          g.g_placed.(oi) <- Arena.append arena lp ext.placed.(k)
+        end
       end
+      else incr rejected
     done
   done;
-  Stats_counters.add c_cells !live;
-  Stats_counters.add c_products !products;
+  Stats_counters.add c_products products;
   Stats_counters.add c_capacity !rejected;
-  Replica_obs.Histogram.observe h_products !products;
-  Stats_counters.record_max c_peak !live
+  Replica_obs.Histogram.observe h_products products;
+  compact g ~into ~pre_cap ~new_cap ~staged:!staged;
+  Stats_counters.record_max c_peak into.len
 
 (* Per-node spans only for subtrees of at least this many nodes. The
    flat tables made small-subtree merges so cheap that a span per node
@@ -271,32 +371,25 @@ let rec table_of ctx tree ~w ~depth j =
 
 and node_table ctx tree ~w ~depth j =
   let client = Tree.client_load tree j in
+  let s = slot ctx depth in
+  start_cell s.s_acc ~client ~w;
+  let arr = Tree.children_array tree j in
   match ctx.memo with
   | None ->
-      let s = slot ctx depth in
-      reset_table s.s_acc 0 0;
-      if client <= w then begin
-        s.s_acc.flows.(0) <- client;
-        s.s_acc.placed.(0) <- Arena.empty
-      end;
-      let children = Tree.children_array tree j in
-      for i = 0 to Array.length children - 1 do
-        merge_into ctx tree ~w ~depth s children.(i)
+      for i = 0 to Array.length arr - 1 do
+        merge ctx tree ~w ~depth s s.s_acc arr.(i)
       done;
       s.s_acc
   | Some (m, fps) -> (
-      let start = fresh_table 0 0 in
-      if client <= w then start.flows.(0) <- client;
-      let arr = Tree.children_array tree j in
       match arr with
-      | [||] -> start
+      | [||] -> s.s_acc
       | _ ->
           let k = Array.length arr in
           let keys = Array.make (k + 1) (fp_seed client) in
           for i = 1 to k do
             keys.(i) <- Tree.combine_fingerprints keys.(i - 1) fps.(arr.(i - 1))
           done;
-          let best = ref 0 and acc = ref start in
+          let best = ref 0 and acc = ref s.s_acc in
           (try
              for i = k downto 1 do
                match Hashtbl.find_opt m.prefixes (j, keys.(i)) with
@@ -319,73 +412,36 @@ and node_table ctx tree ~w ~depth j =
             Stats_counters.incr
               (if !best > 0 then c_memo_partial else c_memo_misses);
             for i = !best + 1 to k do
-              acc := merge_fresh ctx tree ~w ~depth !acc arr.(i - 1);
+              merge ctx tree ~w ~depth s !acc arr.(i - 1);
+              acc := copy_table s.s_acc;
               Hashtbl.replace m.prefixes (j, keys.(i))
                 { stamp = m.gen; entry_table = !acc }
             done
           end;
           !acc)
 
-(* Memo-less merge: child table and extension live in scratch slots,
-   the merged accumulator double-buffers between s_acc and s_alt. *)
-and merge_into ctx tree ~w ~depth s c =
+(* Merge child c into [left], leaving the result in [s.s_acc]; the
+   child's extension lives in [s.s_ext]. *)
+and merge ctx tree ~w ~depth s left c =
   let sub = table_of ctx tree ~w ~depth:(depth + 1) c in
-  let c_pre = Tree.is_pre_existing tree c in
-  let de = if c_pre then 1 else 0 in
-  reset_table s.s_ext (sub.pre_cap + de) (sub.new_cap + 1 - de);
-  extend ctx tree ~into:s.s_ext sub c;
-  let left = s.s_acc and ext = s.s_ext in
-  Log.debug (fun m ->
-      m "merge child %d: left %dx%d, child %dx%d" c (left.pre_cap + 1)
-        (left.new_cap + 1) (ext.pre_cap + 1) (ext.new_cap + 1));
-  let tracing =
-    Span.enabled () && Tree.subtree_size tree c >= span_min_subtree
-  in
-  if tracing then Span.begin_span "dp_withpre.merge";
-  reset_table s.s_alt (left.pre_cap + ext.pre_cap) (left.new_cap + ext.new_cap);
-  convolve ctx ~w ~into:s.s_alt left ext;
-  if tracing then
-    Span.end_span
-      ~args:
-        [
-          ("child", Span.Int c);
-          ("merged_pre_cap", Span.Int s.s_alt.pre_cap);
-          ("merged_new_cap", Span.Int s.s_alt.new_cap);
-        ]
-      ();
-  let acc = s.s_alt in
-  s.s_alt <- s.s_acc;
-  s.s_acc <- acc
-
-(* Memo merge: the result is cached across solves, so it gets fresh
-   storage; the transient extension still uses the depth slot. *)
-and merge_fresh ctx tree ~w ~depth left c =
-  let sub = table_of ctx tree ~w ~depth:(depth + 1) c in
-  let c_pre = Tree.is_pre_existing tree c in
-  let de = if c_pre then 1 else 0 in
-  let ext = fresh_table (sub.pre_cap + de) (sub.new_cap + 1 - de) in
+  let ext = s.s_ext in
   extend ctx tree ~into:ext sub c;
   Log.debug (fun m ->
-      m "merge child %d: left %dx%d, child %dx%d" c (left.pre_cap + 1)
-        (left.new_cap + 1) (ext.pre_cap + 1) (ext.new_cap + 1));
+      m "merge child %d: left %d cells, child %d cells" c left.len ext.len);
   let tracing =
     Span.enabled () && Tree.subtree_size tree c >= span_min_subtree
   in
   if tracing then Span.begin_span "dp_withpre.merge";
-  let merged =
-    fresh_table (left.pre_cap + ext.pre_cap) (left.new_cap + ext.new_cap)
-  in
-  convolve ctx ~w ~into:merged left ext;
+  convolve ctx ~w ~into:s.s_acc left ext;
   if tracing then
     Span.end_span
       ~args:
         [
           ("child", Span.Int c);
-          ("merged_pre_cap", Span.Int merged.pre_cap);
-          ("merged_new_cap", Span.Int merged.new_cap);
+          ("merged_pre_cap", Span.Int s.s_acc.pre_cap);
+          ("merged_new_cap", Span.Int s.s_acc.new_cap);
         ]
-      ();
-  merged
+      ()
 
 let compact_memo m =
   if Arena.length m.m_arena > m.compact_at then begin
@@ -393,21 +449,43 @@ let compact_memo m =
     Hashtbl.iter
       (fun _ e ->
         let t = e.entry_table in
-        let cells = (t.pre_cap + 1) * (t.new_cap + 1) in
-        for i = 0 to cells - 1 do
-          if t.flows.(i) >= 0 then
-            t.placed.(i) <- Arena.compact_root m.m_arena c t.placed.(i)
+        for i = 0 to t.len - 1 do
+          t.placed.(i) <- Arena.compact_root m.m_arena c t.placed.(i)
         done)
       m.prefixes;
     Arena.compact_commit m.m_arena c;
     m.compact_at <- max (1 lsl 16) (4 * Arena.length m.m_arena)
   end
 
+(* The root's table, staged in this domain's scratch. The root's
+   dimensions bound every table of the solve, so they size the grid. A
+   solve that raises mid-staging leaves the grid dirty: the domain's
+   scratch is then dropped. *)
+let root_staircase tree ~w memo =
+  let sc = Domain.DLS.get scratch_key in
+  let root = Tree.root tree in
+  let pre = Tree.subtree_pre_count tree root in
+  let fresh = Tree.subtree_size tree root - pre in
+  let grid = grid_for sc ~rows:(pre + 1) ~cells:((pre + 1) * (fresh + 1)) in
+  let arena =
+    match memo with
+    | Some (m, _) -> m.m_arena
+    | None ->
+        Arena.clear sc.arena;
+        sc.arena
+  in
+  let ctx = { arena; grid; sc; memo } in
+  match table_of ctx tree ~w ~depth:0 root with
+  | table -> (ctx, table)
+  | exception e ->
+      Domain.DLS.set scratch_key (fresh_scratch ());
+      raise e
+
 let solve ?memo:m tree ~w ~cost =
   if w <= 0 then invalid_arg "Dp_withpre: w must be positive";
-  let ctx =
+  let memo =
     match m with
-    | None -> { arena = Arena.create (); slots = [||]; memo = None }
+    | None -> None
     | Some mm ->
         if mm.memo_w <> w then begin
           Hashtbl.reset mm.prefixes;
@@ -415,20 +493,19 @@ let solve ?memo:m tree ~w ~cost =
           mm.memo_w <- w
         end;
         mm.gen <- mm.gen + 1;
-        {
-          arena = mm.m_arena;
-          slots = [||];
-          memo = Some (mm, Tree.subtree_fingerprints tree);
-        }
+        Some (mm, Tree.subtree_fingerprints tree)
   in
   let root = Tree.root tree in
   let tracing = Span.enabled () in
   if tracing then Span.begin_span "dp_withpre.solve";
-  let table =
-    Stats_counters.time t_tables (fun () -> table_of ctx tree ~w ~depth:0 root)
+  let ctx, table =
+    Stats_counters.time t_tables (fun () -> root_staircase tree ~w memo)
   in
   let pre_total = Tree.num_pre_existing tree in
   let root_pre = Tree.is_pre_existing tree root in
+  (* The first cheapest candidate in (e, n) order wins, as in a dense
+     scan: a dropped cell costs strictly more than the cell of its row
+     that dominates it, which comes earlier. *)
   let best = ref None in
   let consider value servers reused placed root_used =
     match !best with
@@ -488,9 +565,9 @@ let solve ?memo:m tree ~w ~cost =
 
 let root_table tree ~w =
   if w <= 0 then invalid_arg "Dp_withpre: w must be positive";
-  let ctx = { arena = Arena.create (); slots = [||]; memo = None } in
-  let table = table_of ctx tree ~w ~depth:0 (Tree.root tree) in
-  Array.init (table.pre_cap + 1) (fun e ->
-      Array.init (table.new_cap + 1) (fun n ->
-          let flow = table.flows.((e * (table.new_cap + 1)) + n) in
-          if flow < 0 then None else Some flow))
+  let _, t = root_staircase tree ~w None in
+  let dense =
+    Array.init (t.pre_cap + 1) (fun _ -> Array.make (t.new_cap + 1) None)
+  in
+  iter_cells t (fun e n flow _ -> dense.(e).(n) <- Some flow);
+  dense

@@ -17,7 +17,8 @@ val rates : Trace.t -> Tree.t -> window:float -> index:int -> Tree.t
 val epochs : Trace.t -> Tree.t -> window:float -> Tree.t list
 (** All epoch trees covering the trace's duration, in order. The last
     partial window is included. An empty trace yields a single all-idle
-    epoch. *)
+    epoch. Element [k] is {!rates} at index [k], computed for every
+    window in one pass over the trace. *)
 
 val epoch_count : Trace.t -> window:float -> int
 

@@ -27,20 +27,26 @@ val of_events : event list -> t
     @raise Invalid_argument on a negative timestamp. *)
 
 val events : t -> event list
+
+val iter : (event -> unit) -> t -> unit
+(** Apply a function to every event, in trace order. *)
+
 val length : t -> int
 
 val duration : t -> float
 (** Timestamp of the last event; 0 for the empty trace. *)
 
 val merge : t -> t -> t
-(** Interleave two traces by time. *)
+(** Interleave two traces by (time, node, client), exactly as
+    {!of_events} sorts them; one linear pass. *)
 
 val merge_all : t list -> t
 (** Deterministic n-way interleave: all events of all streams, sorted
     by (time, node, client) exactly as {!of_events} sorts them, so the
     result is independent of the list order of equal streams and
     [merge_all [a; b] = merge a b]. The merged length is the sum of
-    the stream lengths (nothing is dropped or deduplicated). *)
+    the stream lengths (nothing is dropped or deduplicated). Pairwise
+    rounds of {!merge}: O(events · log streams). *)
 
 val filter : (event -> bool) -> t -> t
 

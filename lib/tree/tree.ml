@@ -84,6 +84,20 @@ let compute_orders parents children =
     invalid_arg "Tree: disconnected or cyclic parent structure";
   (pre_order, post, depths)
 
+(* Pre-existing nodes strictly below each node, bottom-up over [post]. *)
+let sub_pre_counts ~post ~children pre =
+  let sub_pre = Array.make (Array.length pre) 0 in
+  for k = 0 to Array.length post - 1 do
+    let j = post.(k) in
+    let cs = children.(j) in
+    for i = 0 to Array.length cs - 1 do
+      let c = cs.(i) in
+      sub_pre.(j) <-
+        sub_pre.(j) + sub_pre.(c) + if pre.(c) <> None then 1 else 0
+    done
+  done;
+  sub_pre
+
 let make ?qos ?bw parents clients pre =
   let n = Array.length parents in
   if n = 0 then invalid_arg "Tree: empty tree";
@@ -140,16 +154,14 @@ let make ?qos ?bw parents clients pre =
     fill.(p) <- fill.(p) + 1
   done;
   let pre_order, post, depths = compute_orders parents children in
-  let sub_size = Array.make n 0 and sub_pre = Array.make n 0 in
+  let sub_size = Array.make n 0 in
   Array.iter
     (fun j ->
       Array.iter
-        (fun c ->
-          sub_size.(j) <- sub_size.(j) + sub_size.(c) + 1;
-          sub_pre.(j) <-
-            sub_pre.(j) + sub_pre.(c) + (if pre.(c) <> None then 1 else 0))
+        (fun c -> sub_size.(j) <- sub_size.(j) + sub_size.(c) + 1)
         children.(j))
     post;
+  let sub_pre = sub_pre_counts ~post ~children pre in
   { parents; children; clients; qos; bw; pre; post; pre_order; sub_size;
     sub_pre; depths }
 
@@ -270,31 +282,37 @@ let subtree_demand t j =
    splitmix64's finalizer, whose avalanche makes accidental collisions
    across epoch-derived trees a ~2^-64 event — the soundness assumption
    of the DP memo tables. *)
-let fp_mix z =
+let[@inline] fp_mix z =
   let open Int64 in
   let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
   logxor z (shift_right_logical z 31)
 
-let combine_fingerprints h x = fp_mix (Int64.logxor (Int64.mul h 0x9E3779B97F4A7C15L) x)
+let[@inline] combine_fingerprints h x =
+  fp_mix (Int64.logxor (Int64.mul h 0x9E3779B97F4A7C15L) x)
 
+(* Plain loops over an inlined mixer keep the running hash unboxed: one
+   boxed [int64] per node, for the result array. *)
 let subtree_fingerprints t =
   let fps = Array.make (size t) 0L in
-  Array.iter
-    (fun j ->
-      let h = ref (fp_mix (Int64.of_int (Array.length t.clients.(j) + 1))) in
-      Array.iteri
-        (fun i r ->
-          h := combine_fingerprints !h (Int64.of_int r);
-          h := combine_fingerprints !h (Int64.of_int t.qos.(j).(i)))
-        t.clients.(j);
-      (match t.pre.(j) with
-      | None -> h := combine_fingerprints !h 0L
-      | Some m -> h := combine_fingerprints !h (Int64.of_int (m + 1)));
-      h := combine_fingerprints !h (Int64.of_int t.bw.(j));
-      Array.iter (fun c -> h := combine_fingerprints !h fps.(c)) t.children.(j);
-      fps.(j) <- !h)
-    t.post;
+  for k = 0 to Array.length t.post - 1 do
+    let j = t.post.(k) in
+    let cl = t.clients.(j) and ql = t.qos.(j) in
+    let h = ref (fp_mix (Int64.of_int (Array.length cl + 1))) in
+    for i = 0 to Array.length cl - 1 do
+      h := combine_fingerprints !h (Int64.of_int cl.(i));
+      h := combine_fingerprints !h (Int64.of_int ql.(i))
+    done;
+    (match t.pre.(j) with
+    | None -> h := combine_fingerprints !h 0L
+    | Some m -> h := combine_fingerprints !h (Int64.of_int (m + 1)));
+    h := combine_fingerprints !h (Int64.of_int t.bw.(j));
+    let cs = t.children.(j) in
+    for i = 0 to Array.length cs - 1 do
+      h := combine_fingerprints !h fps.(cs.(i))
+    done;
+    fps.(j) <- !h
+  done;
   fps
 
 let ancestors t j =
@@ -314,18 +332,20 @@ let is_ancestor t ~anc ~desc =
     in
     up desc
 
+(* Only the markers change: every other array is shared with [t] (none
+   is mutated after construction) and only [pre] and [sub_pre] are
+   recomputed. *)
 let with_pre_existing t l =
-  let pre = Array.make (size t) None in
+  let n = size t in
+  let pre = Array.make n None in
   List.iter
     (fun (j, m) ->
-      if j < 0 || j >= size t then invalid_arg "Tree.with_pre_existing: bad node";
+      if j < 0 || j >= n then invalid_arg "Tree.with_pre_existing: bad node";
       if m <= 0 then invalid_arg "Tree.with_pre_existing: bad mode";
       pre.(j) <- Some m)
     l;
-  make
-    ~qos:(Array.map Array.copy t.qos)
-    ~bw:(Array.copy t.bw)
-    (Array.copy t.parents) (Array.map Array.copy t.clients) pre
+  let sub_pre = sub_pre_counts ~post:t.post ~children:t.children pre in
+  { t with pre; sub_pre }
 
 (* Demand redraws keep the node's binding constraint: when the new client
    multiset has the same arity the per-client bounds are kept verbatim;

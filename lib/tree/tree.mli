@@ -78,7 +78,10 @@ val children : t -> node -> node list
 
 val children_array : t -> node -> node array
 (** Internal children as the underlying array — zero-allocation
-    accessor for hot solver loops. The caller must not mutate it. *)
+    accessor for hot solver loops. The caller must not mutate it: trees
+    derived from one another (e.g. by {!with_pre_existing}) share their
+    unchanged arrays, so the array returned here may belong to several
+    trees at once. *)
 
 val clients : t -> node -> int list
 (** Request counts of the client leaves attached to a node. *)
@@ -195,7 +198,11 @@ val with_pre_existing : t -> (node * int) list -> t
 (** [with_pre_existing t l] is [t] with its pre-existing set replaced by
     the nodes in [l] (node, initial mode) — all previous pre-existing
     markers are dropped. Used by dynamic-update experiments where the
-    servers of step [k] become the pre-existing set of step [k+1]. *)
+    servers of step [k] become the pre-existing set of step [k+1].
+    Structure, clients, QoS bounds and bandwidths are shared with [t],
+    not copied (trees are never mutated); only the markers and the
+    per-subtree marker counts are rebuilt, in O(size).
+    @raise Invalid_argument on a node out of range or a mode [<= 0]. *)
 
 val with_clients : t -> (node -> int list) -> t
 (** [with_clients t f] replaces each node's client multiset by [f node];

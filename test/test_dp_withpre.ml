@@ -214,6 +214,187 @@ let test_root_table_shape () =
   (* (1, 1): B and C (or B and A), only the root client passes. *)
   check opt "(1,1)" (Some 2) table.(1).(1)
 
+(* --- Staircase tables against the frozen dense DP ({!Dense_withpre}) --- *)
+
+let oracle_ws = [ 1; 3; 5; 10; 17; 40 ]
+
+let oracle_costs =
+  [
+    Cost.basic ();
+    Cost.basic ~create:0.1 ~delete:0.01 ();
+    Cost.basic ~create:0.5 ~delete:0.25 ();
+    Cost.basic ~create:1. ~delete:1. ();
+    Cost.basic ~delete:3. ();
+    Cost.basic ~create:2. ~delete:5.5 ();
+  ]
+
+(* Fat and high trees of 5-80 nodes with E = 0..N/2 pre-existing. *)
+let oracle_tree rng i =
+  let nodes = 5 + Rng.int rng 76 in
+  let profile =
+    if i mod 2 = 0 then Generator.fat ~nodes () else Generator.high ~nodes ()
+  in
+  let t = Generator.random rng profile in
+  Generator.add_pre_existing rng t (Rng.int rng ((nodes / 2) + 1))
+
+let same_result msg (expected : Dp_withpre.result option)
+    (got : Dp_withpre.result option) =
+  match (expected, got) with
+  | None, None -> ()
+  | Some a, Some b ->
+      check cb (msg ^ ": solution") true
+        (Solution.equal a.Dp_withpre.solution b.Dp_withpre.solution);
+      check Alcotest.int64 (msg ^ ": cost bits")
+        (Int64.bits_of_float a.Dp_withpre.cost)
+        (Int64.bits_of_float b.Dp_withpre.cost);
+      check ci (msg ^ ": servers") a.Dp_withpre.servers b.Dp_withpre.servers;
+      check ci (msg ^ ": reused") a.Dp_withpre.reused b.Dp_withpre.reused
+  | _ -> Alcotest.failf "%s: feasibility differs" msg
+
+(* The staircase of a dense table: in each row, the cells whose flow is
+   strictly below that of every cell with fewer new servers. *)
+let staircase dense =
+  Array.map
+    (fun row ->
+      let floor = ref max_int in
+      Array.map
+        (function
+          | Some f when f < !floor ->
+              floor := f;
+              Some f
+          | _ -> None)
+        row)
+    dense
+
+let test_oracle_random () =
+  let rng = Rng.create 2024 in
+  let instances = ref 0 in
+  for i = 0 to 99 do
+    let t = oracle_tree rng i in
+    List.iter
+      (fun w ->
+        List.iteri
+          (fun k cost ->
+            incr instances;
+            same_result
+              (Printf.sprintf "tree %d (N=%d, E=%d) w=%d cost %d" i
+                 (Tree.size t) (Tree.num_pre_existing t) w k)
+              (Dense_withpre.solve t ~w ~cost)
+              (Dp_withpre.solve t ~w ~cost))
+          oracle_costs)
+      oracle_ws
+  done;
+  check cb "at least 500 instances" true (!instances >= 500)
+
+let test_oracle_root_table () =
+  let rng = Rng.create 77 in
+  let opt_table = Alcotest.(array (array (option int))) in
+  for i = 0 to 59 do
+    let t = oracle_tree rng i in
+    List.iter
+      (fun w ->
+        check opt_table
+          (Printf.sprintf "tree %d w=%d" i w)
+          (staircase (Dense_withpre.root_table t ~w))
+          (Dp_withpre.root_table t ~w))
+      oracle_ws
+  done
+
+(* The frozen dense DP as a registry entry, so that an engine can run
+   on it and serve as the reference timeline. *)
+let oracle_solver =
+  let solver =
+    {
+      Solver.name = "dense-withpre-oracle";
+      summary = "frozen dense MinCost-WithPre DP (test oracle)";
+      capability =
+        Solver.capability ~handles_cost:true ~handles_pre:true
+          ~exactness:Solver.Exact ();
+      solve =
+        (fun p _ ->
+          let cost =
+            match p.Problem.objective with
+            | Problem.Min_cost c -> c
+            | _ -> Cost.basic ()
+          in
+          Option.map
+            (fun (r : Dp_withpre.result) ->
+              Solver.outcome ~cost:r.Dp_withpre.cost ~reused:r.Dp_withpre.reused
+                ~objective_value:r.Dp_withpre.cost r.Dp_withpre.solution)
+            (Dense_withpre.solve p.Problem.tree ~w:p.Problem.w ~cost));
+      make_memo = None;
+      memo_size = None;
+    }
+  in
+  lazy (Solver.register solver)
+
+let test_oracle_engine_streams () =
+  Lazy.force oracle_solver;
+  let module Engine = Replica_engine.Engine in
+  let module Timeline = Replica_engine.Timeline in
+  let rng = Rng.create 31 in
+  for stream = 0 to 5 do
+    let nodes = 30 + Rng.int rng 50 in
+    let tree = Generator.random rng (Generator.fat ~nodes ()) in
+    let trace = workload_trace rng tree ~kind:(stream mod 3) ~horizon:24. in
+    let epochs = Replica_trace.Epochs.epochs trace tree ~window:2. in
+    let w = 10 + Rng.int rng 10 in
+    let cost = List.nth oracle_costs (stream mod List.length oracle_costs) in
+    List.iter
+      (fun policy ->
+        let run ?algo solver =
+          Engine.run
+            (Engine.config ~policy ~solver ?algo ~w (Engine.Min_cost cost))
+            epochs
+        in
+        let reference = run ~algo:"dense-withpre-oracle" Engine.Full in
+        List.iter
+          (fun (name, solver) ->
+            let got = run solver in
+            List.iter2
+              (fun (a : Timeline.entry) (b : Timeline.entry) ->
+                let msg =
+                  Printf.sprintf "stream %d %s %s epoch %d" stream
+                    (Update_policy.policy_to_string policy) name
+                    a.Timeline.epoch
+                in
+                check cb (msg ^ ": reconfigured") a.Timeline.reconfigured
+                  b.Timeline.reconfigured;
+                check cb (msg ^ ": servers") true
+                  (Solution.equal a.Timeline.servers b.Timeline.servers);
+                check Alcotest.int64 (msg ^ ": step cost bits")
+                  (Int64.bits_of_float a.Timeline.step_cost)
+                  (Int64.bits_of_float b.Timeline.step_cost))
+              reference.Timeline.entries got.Timeline.entries)
+          [ ("full", Engine.Full); ("incremental", Engine.Incremental) ])
+      [ Update_policy.Systematic; Update_policy.Lazy ]
+  done
+
+(* A warm memo-less solve allocates only its result: tables, grid and
+   arena come from the domain's scratch. *)
+let test_warm_solve_allocation () =
+  let nodes = 100 in
+  let rng = Rng.create 9 in
+  let tree =
+    Generator.add_pre_existing rng
+      (Generator.random rng (Generator.fat ~nodes ()))
+      25
+  in
+  let cost = Cost.basic ~create:0.5 ~delete:0.25 () in
+  Replica_obs.Span.set_enabled false;
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  ignore (Dp_withpre.solve tree ~w:10 ~cost : Dp_withpre.result option);
+  let before = words () in
+  let r = Dp_withpre.solve tree ~w:10 ~cost in
+  let used = words () -. before in
+  check cb "solved" true (r <> None);
+  if used >= float_of_int (32 * nodes) then
+    Alcotest.failf "warm Dp_withpre.solve allocated %.0f words (%.1f per node)"
+      used (used /. float_of_int nodes)
+
 let () =
   Alcotest.run "dp_withpre"
     [
@@ -235,5 +416,14 @@ let () =
         [
           Alcotest.test_case "result invariants" `Quick test_result_invariants;
           Alcotest.test_case "root table" `Quick test_root_table_shape;
+          Alcotest.test_case "warm solve allocation" `Quick
+            test_warm_solve_allocation;
+        ] );
+      ( "dense oracle",
+        [
+          Alcotest.test_case "random instances" `Slow test_oracle_random;
+          Alcotest.test_case "root table is the staircase" `Quick
+            test_oracle_root_table;
+          Alcotest.test_case "engine streams" `Slow test_oracle_engine_streams;
         ] );
     ]

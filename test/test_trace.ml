@@ -264,6 +264,269 @@ let test_end_to_end_rates () =
         (abs (Tree.total_requests epoch - Tree.total_requests tree) <= 2))
     epochs
 
+(* --- Frozen copies of the list-and-sort trace pipeline --- *)
+
+(* The trace, arrival and epoch functions as they were before the
+   monomorphic sort, the linear merge and the one-pass epoch bucketing:
+   the reference those must reproduce event for event and tree for
+   tree. Traces are plain sorted event lists here. *)
+module Frozen = struct
+  let of_events l =
+    let a = Array.of_list l in
+    Array.sort
+      (fun (a : Trace.event) (b : Trace.event) ->
+        compare (a.time, a.node, a.client) (b.time, b.node, b.client))
+      a;
+    Array.to_list a
+
+  let merge a b = of_events (a @ b)
+  let merge_all ts = of_events (List.concat ts)
+  let exponential rng rate = -.log (1. -. Rng.float rng 1.0) /. rate
+
+  let poisson_stream rng ~rate ~start ~stop ~node ~client acc =
+    if rate <= 0. then acc
+    else begin
+      let acc = ref acc in
+      let t = ref (start +. exponential rng rate) in
+      while !t < stop do
+        acc := { Trace.time = !t; node; client } :: !acc;
+        t := !t +. exponential rng rate
+      done;
+      !acc
+    end
+
+  let iter_clients tree f =
+    for j = 0 to Tree.size tree - 1 do
+      List.iteri
+        (fun i r -> f ~node:j ~client:i ~rate:(float_of_int r))
+        (Tree.clients tree j)
+    done
+
+  let poisson rng tree ~horizon =
+    let acc = ref [] in
+    iter_clients tree (fun ~node ~client ~rate ->
+        acc := poisson_stream rng ~rate ~start:0. ~stop:horizon ~node ~client !acc);
+    of_events !acc
+
+  let diurnal rng tree ~horizon ~period ~floor =
+    let modulation t =
+      floor +. ((1. -. floor) *. (1. +. sin (2. *. Float.pi *. t /. period)) /. 2.)
+    in
+    let acc = ref [] in
+    iter_clients tree (fun ~node ~client ~rate ->
+        let events =
+          poisson_stream rng ~rate ~start:0. ~stop:horizon ~node ~client []
+        in
+        List.iter
+          (fun (e : Trace.event) ->
+            if Rng.float rng 1.0 < modulation e.time then acc := e :: !acc)
+          events);
+    of_events !acc
+
+  let flash_crowd rng tree ~base ~at ~duration ~node ~multiplier =
+    let in_subtree j = j = node || Tree.is_ancestor tree ~anc:node ~desc:j in
+    let extra = ref [] in
+    iter_clients tree (fun ~node:j ~client ~rate ->
+        if in_subtree j then
+          extra :=
+            poisson_stream rng
+              ~rate:((multiplier -. 1.) *. rate)
+              ~start:at ~stop:(at +. duration) ~node:j ~client !extra);
+    merge base (of_events !extra)
+
+  let window_counts events ~window ~index =
+    let start = float_of_int index *. window in
+    let stop = start +. window in
+    let tbl = Hashtbl.create 64 in
+    List.iter
+      (fun (e : Trace.event) ->
+        if e.time >= start && e.time < stop then begin
+          let key = (e.node, e.client) in
+          Hashtbl.replace tbl key
+            ((try Hashtbl.find tbl key with Not_found -> 0) + 1)
+        end)
+      events;
+    tbl
+
+  let rates events tree ~window ~index =
+    let counts = window_counts events ~window ~index in
+    Tree.with_clients tree (fun j ->
+        List.filteri
+          (fun _ r -> r > 0)
+          (List.mapi
+             (fun i _ ->
+               let events = try Hashtbl.find counts (j, i) with Not_found -> 0 in
+               int_of_float (Float.round (float_of_int events /. window)))
+             (Tree.clients tree j)))
+
+  let epoch_count events ~window =
+    let d =
+      match List.rev events with [] -> 0. | (e : Trace.event) :: _ -> e.time
+    in
+    max 1 (int_of_float (Float.ceil ((d +. epsilon_float) /. window)))
+
+  let epochs events tree ~window =
+    List.init (epoch_count events ~window) (fun index ->
+        rates events tree ~window ~index)
+
+  let epochs_multi streams ~window =
+    let count =
+      List.fold_left
+        (fun acc (events, _) -> max acc (epoch_count events ~window))
+        1 streams
+    in
+    List.init count (fun index ->
+        List.map (fun (events, tree) -> rates events tree ~window ~index) streams)
+end
+
+let events_testable =
+  Alcotest.testable
+    (fun fmt (e : Trace.event) ->
+      Format.fprintf fmt "(%h, %d, %d)" e.time e.node e.client)
+    (fun (a : Trace.event) b ->
+      Int64.equal (Int64.bits_of_float a.time) (Int64.bits_of_float b.time)
+      && a.node = b.node && a.client = b.client)
+
+let same_events msg expected got =
+  check (Alcotest.list events_testable) msg expected (Trace.events got)
+
+let same_views msg expected got =
+  check (Alcotest.list Alcotest.string) msg
+    (List.map Tree.to_string expected)
+    (List.map Tree.to_string got)
+
+let frozen_tree seed =
+  let rng = Rng.create seed in
+  let nodes = 10 + Rng.int rng 40 in
+  let profile =
+    if seed mod 2 = 0 then Generator.fat ~nodes () else Generator.high ~nodes ()
+  in
+  Generator.random rng profile
+
+let test_frozen_arrivals () =
+  List.iter
+    (fun seed ->
+      let tree = frozen_tree seed in
+      let horizon = 5. +. float_of_int (seed mod 7) in
+      same_events "poisson"
+        (Frozen.poisson (Rng.create seed) tree ~horizon)
+        (Arrivals.poisson (Rng.create seed) tree ~horizon);
+      same_events "diurnal"
+        (Frozen.diurnal (Rng.create seed) tree ~horizon ~period:3. ~floor:0.2)
+        (Arrivals.diurnal (Rng.create seed) tree ~horizon ~period:3. ~floor:0.2);
+      (* Several bursts on one base, as the engine benchmarks stack them. *)
+      let node = Rng.int (Rng.create (seed + 1)) (Tree.size tree) in
+      let frozen = ref (Frozen.poisson (Rng.create seed) tree ~horizon) in
+      let fresh = ref (Arrivals.poisson (Rng.create seed) tree ~horizon) in
+      for b = 0 to 2 do
+        let at = float_of_int b *. horizon /. 3. in
+        frozen :=
+          Frozen.flash_crowd (Rng.create (seed + b)) tree ~base:!frozen ~at
+            ~duration:(horizon /. 4.) ~node ~multiplier:2.5;
+        fresh :=
+          Arrivals.flash_crowd (Rng.create (seed + b)) tree ~base:!fresh ~at
+            ~duration:(horizon /. 4.) ~node ~multiplier:2.5
+      done;
+      same_events "flash" !frozen !fresh)
+    seeds
+
+let test_frozen_merge_all () =
+  List.iter
+    (fun seed ->
+      let streams =
+        List.init (1 + (seed mod 6)) (fun k ->
+            let tree = frozen_tree (seed + k) in
+            Arrivals.poisson (Rng.create (seed * 7 + k)) tree ~horizon:4.)
+      in
+      (* Equal events across streams, as identical shards produce. *)
+      let streams = streams @ [ List.hd streams ] in
+      same_events "merge_all"
+        (Frozen.merge_all (List.map Trace.events streams))
+        (Trace.merge_all streams);
+      same_events "merge_all []" (Frozen.merge_all []) (Trace.merge_all []))
+    seeds;
+  (* Equal timestamps, so that node and client order the events. *)
+  let tied k =
+    List.init 40 (fun i ->
+        ev (float_of_int ((i + k) mod 5)) ((i * 7 + k) mod 11) ((i * 3) mod 4))
+  in
+  let streams = List.init 3 tied in
+  same_events "tied of_events" (Frozen.of_events (tied 0))
+    (Trace.of_events (tied 0));
+  same_events "tied merge_all"
+    (Frozen.merge_all (List.map Frozen.of_events streams))
+    (Trace.merge_all (List.map Trace.of_events streams))
+
+(* Windows whose float grid [k·w, k·w + w) overlaps or leaves gaps, and
+   events placed on those very edges. *)
+let edge_events tree ~window ~count =
+  List.concat
+    (List.init count (fun k ->
+         let j = k mod Tree.size tree in
+         match Tree.clients tree j with
+         | [] -> []
+         | _ ->
+             let start = float_of_int k *. window in
+             List.filter
+               (fun (e : Trace.event) -> e.time >= 0.)
+               [
+                 { Trace.time = start; node = j; client = 0 };
+                 { Trace.time = float_of_int (k - 1) *. window +. window; node = j;
+                   client = 0 };
+                 { Trace.time = Float.pred start; node = j; client = 0 };
+                 { Trace.time = Float.succ start; node = j; client = 0 };
+               ]))
+
+let test_frozen_epochs () =
+  List.iter
+    (fun seed ->
+      let tree = frozen_tree seed in
+      let rng = Rng.create seed in
+      let trace =
+        Frozen.flash_crowd rng tree
+          ~base:(Frozen.poisson rng tree ~horizon:9.)
+          ~at:2. ~duration:3. ~node:0 ~multiplier:3.
+      in
+      List.iter
+        (fun window ->
+          let trace =
+            Frozen.merge trace (Frozen.of_events (edge_events tree ~window ~count:40))
+          in
+          same_views
+            (Printf.sprintf "epochs seed %d window %g" seed window)
+            (Frozen.epochs trace tree ~window)
+            (Epochs.epochs (Trace.of_events trace) tree ~window))
+        [ 0.1; 0.3; 1. /. 3.; 0.7; 1.; 2.5 ])
+    seeds
+
+let test_frozen_epochs_multi () =
+  List.iter
+    (fun seed ->
+      let streams =
+        List.init 3 (fun k ->
+            let tree = frozen_tree (seed + k) in
+            let horizon = 3. +. float_of_int k in
+            (Frozen.poisson (Rng.create (seed + k)) tree ~horizon, tree))
+      in
+      List.iter
+        (fun window ->
+          let expected = Frozen.epochs_multi streams ~window in
+          let got =
+            Epochs.epochs_multi
+              (List.map (fun (l, tree) -> (Trace.of_events l, tree)) streams)
+              ~window
+          in
+          check ci "epoch count" (List.length expected) (List.length got);
+          List.iteri
+            (fun k views ->
+              same_views
+                (Printf.sprintf "epochs_multi seed %d window %g epoch %d" seed
+                   window k)
+                views (List.nth got k))
+            expected)
+        [ 0.3; 1.; 1.7 ])
+    seeds
+
 let () =
   Alcotest.run "trace"
     [
@@ -274,6 +537,13 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty;
           Alcotest.test_case "merge/filter" `Quick test_merge_and_filter;
           Alcotest.test_case "count by client" `Quick test_count_by_client;
+        ] );
+      ( "frozen pipeline",
+        [
+          Alcotest.test_case "arrivals" `Quick test_frozen_arrivals;
+          Alcotest.test_case "merge_all" `Quick test_frozen_merge_all;
+          Alcotest.test_case "epochs" `Quick test_frozen_epochs;
+          Alcotest.test_case "epochs_multi" `Quick test_frozen_epochs_multi;
         ] );
       ( "arrivals",
         [

@@ -141,6 +141,96 @@ let test_equal () =
   let t'' = Tree.with_clients t (fun _ -> []) in
   check cb "different clients differ" false (Tree.equal t t'')
 
+(* --- Frozen fingerprints and derived-tree sharing --- *)
+
+(* [Tree.subtree_fingerprints] as it was before the inlined, loop-based
+   rewrite, over the public accessors: the values must stay bit-identical,
+   since the DP memos key on them. *)
+let frozen_fingerprints t =
+  let open Int64 in
+  let fp_mix z =
+    let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
+    logxor z (shift_right_logical z 31)
+  in
+  let combine h x = fp_mix (logxor (mul h 0x9E3779B97F4A7C15L) x) in
+  let fps = Array.make (Tree.size t) 0L in
+  Array.iter
+    (fun j ->
+      let clients = Tree.clients t j and qos = Tree.client_qos t j in
+      let h = ref (fp_mix (of_int (List.length clients + 1))) in
+      List.iter2
+        (fun r q ->
+          h := combine !h (of_int r);
+          h := combine !h (of_int q))
+        clients qos;
+      (match Tree.initial_mode t j with
+      | None -> h := combine !h 0L
+      | Some m -> h := combine !h (of_int (m + 1)));
+      h := combine !h (of_int (Tree.bandwidth t j));
+      Array.iter (fun c -> h := combine !h fps.(c)) (Tree.children_array t j);
+      fps.(j) <- !h)
+    (Tree.postorder t);
+  fps
+
+(* Fat, high, constrained and pre-existing trees. *)
+let fingerprint_trees () =
+  List.concat_map
+    (fun seed ->
+      let rng = Rng.create seed in
+      let fat = Generator.random rng (Generator.fat ~nodes:(20 + seed) ()) in
+      let high = Generator.random rng (Generator.high ~nodes:(30 + seed) ()) in
+      [
+        fat;
+        high;
+        Generator.tight_constraints rng fat;
+        Generator.loose_constraints rng high;
+        Generator.add_pre_existing rng ~mode:2 fat (seed mod 9);
+        Generator.add_pre_existing rng high 5;
+      ])
+    seeds
+
+let test_fingerprints_frozen () =
+  List.iteri
+    (fun i t ->
+      check
+        (Alcotest.array Alcotest.int64)
+        (Printf.sprintf "tree %d" i) (frozen_fingerprints t)
+        (Tree.subtree_fingerprints t))
+    (fingerprint_trees ())
+
+(* A derived tree shares its parent's arrays but must behave exactly as
+   one rebuilt from scratch, and leave its parent untouched. *)
+let test_with_pre_existing_rebuilt () =
+  List.iteri
+    (fun i t ->
+      let before = Tree.to_string t in
+      let rng = Rng.create i in
+      let marks =
+        List.filter_map
+          (fun j -> if Rng.int rng 3 = 0 then Some (j, 1 + Rng.int rng 3) else None)
+          (List.init (Tree.size t) Fun.id)
+      in
+      let derived = Tree.with_pre_existing t marks in
+      let rebuilt = Tree.of_string (Tree.to_string derived) in
+      let msg = Printf.sprintf "tree %d" i in
+      check Alcotest.string (msg ^ ": parent untouched") before (Tree.to_string t);
+      check cb (msg ^ ": equal") true (Tree.equal rebuilt derived);
+      check (Alcotest.array Alcotest.int64) (msg ^ ": fingerprints")
+        (Tree.subtree_fingerprints rebuilt) (Tree.subtree_fingerprints derived);
+      check (Alcotest.array ci) (msg ^ ": postorder") (Tree.postorder rebuilt)
+        (Tree.postorder derived);
+      check ci (msg ^ ": pre count") (Tree.num_pre_existing rebuilt)
+        (Tree.num_pre_existing derived);
+      for j = 0 to Tree.size t - 1 do
+        check ci (msg ^ ": subtree pre") (Tree.subtree_pre_count rebuilt j)
+          (Tree.subtree_pre_count derived j);
+        check ci (msg ^ ": subtree size") (Tree.subtree_size rebuilt j)
+          (Tree.subtree_size derived j);
+        check ci (msg ^ ": depth") (Tree.depth rebuilt j) (Tree.depth derived j)
+      done)
+    (fingerprint_trees ())
+
 let () =
   Alcotest.run "tree"
     [
@@ -162,6 +252,10 @@ let () =
         [
           Alcotest.test_case "with_pre_existing" `Quick test_with_pre_existing;
           Alcotest.test_case "with_clients" `Quick test_with_clients;
+          Alcotest.test_case "with_pre_existing = rebuilt" `Quick
+            test_with_pre_existing_rebuilt;
+          Alcotest.test_case "fingerprints = frozen" `Quick
+            test_fingerprints_frozen;
         ] );
       ( "serialization",
         [
