@@ -45,7 +45,10 @@ val observe : t -> int -> unit
 (** Record one observation. Negative values land in bin 0. *)
 
 val count : t -> int
+
 val sum : t -> int
+(** The sum of the observations, a negative one counted as [0] like
+    the bin it lands in, so the sum never decreases. *)
 
 val quantile : t -> float -> int
 (** [quantile h q] for [q] in [[0, 1]]; [0] when the histogram is

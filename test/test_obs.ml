@@ -20,12 +20,13 @@ let prop_each_observation_in_one_bin =
       let h = H.make "test" in
       List.iter (H.observe h) obs;
       (* The last cumulative bucket count equals the observation count
-         exactly when each observation incremented exactly one bin. *)
+         exactly when each observation incremented exactly one bin. A
+         negative observation adds 0 to the sum, as bin 0 reports it. *)
       H.count h = List.length obs
       && (match List.rev (H.buckets h) with
          | (_, cum) :: _ -> cum = List.length obs
          | [] -> false)
-      && H.sum h = List.fold_left ( + ) 0 obs)
+      && H.sum h = List.fold_left (fun acc v -> acc + max 0 v) 0 obs)
 
 let prop_quantiles_monotone =
   qcheck_case "histogram: p50 <= p90 <= p99" observations_gen (fun obs ->
@@ -53,6 +54,9 @@ let test_histogram_edges () =
   H.observe h (-3);
   check ci "non-positive values in bin 0" 0 (H.quantile h 1.0);
   check ci "count" 2 (H.count h);
+  check ci "non-positive values add 0 to the sum" 0 (H.sum h);
+  H.observe h 5;
+  check ci "sum" 5 (H.sum h);
   H.reset h;
   check ci "reset clears" 0 (H.count h)
 

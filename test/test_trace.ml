@@ -538,7 +538,7 @@ let () =
           Alcotest.test_case "merge/filter" `Quick test_merge_and_filter;
           Alcotest.test_case "count by client" `Quick test_count_by_client;
         ] );
-      ( "frozen pipeline",
+      ( "frozen copy",
         [
           Alcotest.test_case "arrivals" `Quick test_frozen_arrivals;
           Alcotest.test_case "merge_all" `Quick test_frozen_merge_all;
