@@ -649,21 +649,18 @@ let run_qos () =
           in
           Generator.add_pre_existing rng t 3)
     in
-    (* Degeneracy gate: on these (unconstrained) trees dp-qos must be
-       bit-identical to dp-withpre — placement and cost. *)
-    let unconstrained_identical =
-      List.for_all
-        (fun t ->
-          match (Dp_qos.solve t ~w ~cost, Dp_withpre.solve t ~w ~cost) with
-          | Some q, Some p ->
-              Solution.equal q.Dp_qos.solution p.Dp_withpre.solution
-              && q.Dp_qos.cost = p.Dp_withpre.cost
-          | None, None -> true
-          | _ -> false)
-        trees
+    (* Oracle gate: on every instance, constrained or not, the DP's
+       optimum is the exhaustive one. *)
+    let brute_agrees = ref true in
+    let agree t dp =
+      match (dp, Brute.min_basic_cost t ~w ~cost) with
+      | Some r, Some (bc, _) ->
+          if abs_float (r.Dp_withpre.cost -. bc) > 1e-9 then
+            brute_agrees := false
+      | None, None -> ()
+      | _ -> brute_agrees := false
     in
-    if not unconstrained_identical then
-      failwith "qos: dp-qos diverged from dp-withpre on unconstrained trees";
+    List.iter (fun t -> agree t (Dp_withpre.solve t ~w ~cost)) trees;
     let greedy_agrees = ref true in
     let regime name constrain =
       Stats_counters.reset ();
@@ -672,25 +669,29 @@ let run_qos () =
         (fun i t ->
           let rng = Rng.create ((1000 * seed) + i) in
           let ct = constrain rng t in
-          let dp = Dp_qos.solve ct ~w ~cost in
+          let dp = Dp_withpre.solve ct ~w ~cost in
           (match dp with
           | Some r ->
               incr feasible;
-              servers := !servers + r.Dp_qos.servers
+              servers := !servers + r.Dp_withpre.servers
           | None -> ());
+          agree ct dp;
           if Greedy_qos.solve ct ~w <> None <> (dp <> None) then
             greedy_agrees := false)
         trees;
       let ours prefix (k, _) = String.starts_with ~prefix k in
       let counters =
-        List.filter (ours "dp_qos.") (Stats_counters.counters ())
+        List.filter (ours "dp_withpre.") (Stats_counters.counters ())
       in
-      let timers = List.filter (ours "dp_qos.") (Stats_counters.timers ()) in
+      let timers =
+        List.filter (ours "dp_withpre.") (Stats_counters.timers ())
+      in
       let fraction = float_of_int !feasible /. float_of_int instances in
       Printf.printf
         "%s: %d/%d feasible (%.2f), %d servers total, %d merge products\n"
         name !feasible instances fraction !servers
-        (try List.assoc "dp_qos.merge_products" counters with Not_found -> 0);
+        (try List.assoc "dp_withpre.merge_products" counters
+         with Not_found -> 0);
       ( name,
         J.Obj
           ([
@@ -705,9 +706,10 @@ let run_qos () =
     let tight = regime "tight" Generator.tight_constraints in
     let loose = regime "loose" Generator.loose_constraints in
     if not !greedy_agrees then
-      failwith "qos: greedy-qos disagreed with dp-qos on feasibility";
-    Printf.printf
-      "greedy feasibility agreement and dp-withpre degeneracy: verified\n";
+      failwith "qos: greedy-qos disagreed with dp-withpre on feasibility";
+    if not !brute_agrees then
+      failwith "qos: dp-withpre disagreed with brute on an optimum";
+    Printf.printf "greedy feasibility and brute optima agreement: verified\n";
     let json =
       J.envelope ~kind:"qos"
         ~config:
@@ -722,7 +724,7 @@ let run_qos () =
           tight;
           loose;
           ("greedy_feasibility_agrees", J.Bool !greedy_agrees);
-          ("unconstrained_identical_to_dp_withpre", J.Bool unconstrained_identical);
+          ("brute_agrees", J.Bool !brute_agrees);
         ]
     in
     let oc = open_out "BENCH_qos.json" in

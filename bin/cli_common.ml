@@ -320,11 +320,8 @@ let telemetry_finish tele ~timeseries ~openmetrics =
         openmetrics)
     tele.tele_ts
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+(* Read to end of file, so pipes such as /dev/stdin work too. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* --- solver selection (registry-backed) --- *)
 

@@ -183,14 +183,12 @@ let engine_cmd =
   let qos_at_arg =
     at_arg "qos" "Q[@E]"
       "Bound every client's distance to its server at Q hops, from epoch E \
-       on (default: the whole run). Cost objective only; selects \
-       $(b,dp-qos) unless $(b,--algo) says otherwise."
+       on (default: the whole run). Cost objective only."
   in
   let bw_at_arg =
     at_arg "bw" "S[@E]"
       "Cap every link at S times its subtree demand, from epoch E on \
-       (default: the whole run). Cost objective only; selects $(b,dp-qos) \
-       unless $(b,--algo) says otherwise."
+       (default: the whole run). Cost objective only."
   in
   let run shape nodes seed horizon window workload policy solver algo w power
       bound qos bw json no_time trace_file metrics timeseries ts_stride
@@ -238,14 +236,6 @@ let engine_cmd =
     (match bw with
     | Some (s, _) when s <= 0. -> die "--bw must be positive"
     | _ -> ());
-    (* A constrained run needs a constraint-capable solver; default to
-       the constrained exact DP instead of dp-withpre. *)
-    let algo =
-      match (algo, qos, bw) with
-      | None, None, None -> None
-      | None, _, _ when not power -> Some "dp-qos"
-      | _ -> algo
-    in
     let cfg = Engine.config ~policy ~solver ?algo ~w objective in
     (* Capability problems (unknown --algo, wrong objective family, a
        finite bound the solver cannot honour) surface as

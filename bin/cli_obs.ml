@@ -190,15 +190,17 @@ let bench_history_cmd =
     | `Trend ->
         if not (Sys.file_exists file) then
           die "history file %s does not exist (run `make bench' first)" file;
-        let lines =
-          String.split_on_char '\n' (read_file file)
-          |> List.filter (fun l -> String.trim l <> "")
-        in
+        (* A malformed line (say, a truncated append) would silently
+           change the trend: reject the file instead. *)
         let history =
-          List.filter_map
-            (fun l ->
-              match Obs.Json.parse l with Ok j -> Some j | Error _ -> None)
-            lines
+          String.split_on_char '\n' (read_file file)
+          |> List.mapi (fun i l -> (i + 1, l))
+          |> List.filter_map (fun (line, l) ->
+                 if String.trim l = "" then None
+                 else
+                   match Obs.Json.parse l with
+                   | Ok j -> Some j
+                   | Error e -> die "%s:%d: %s" file line e)
         in
         (match Obs.Bench_history.trend ~kind ~last history with
         | Ok report -> print_string (Obs.Bench_history.render_trend report)

@@ -12,10 +12,9 @@ let cmd =
   let algo_arg =
     (* Plain string, resolved through the registry at run time: an
        unknown name exits 2 through the shared error path rather than
-       cmdliner's usage error. Defaults to dp-withpre, or dp-qos when
-       the instance carries --qos/--bw constraints. *)
+       cmdliner's usage error. *)
     Arg.(
-      value & opt (some string) None
+      value & opt string "dp-withpre"
       & info [ "algo" ] ~docv:"ALGO" ~doc:(algo_doc ()))
   in
   let list_algos_flag =
@@ -60,11 +59,6 @@ let cmd =
     if list_algos then print_string (Registry.list_algos ())
     else begin
       setup_logs verbose;
-      let algo =
-        match algo with
-        | Some a -> a
-        | None -> if qos <> None || bw <> None then "dp-qos" else "dp-withpre"
-      in
       let solver = resolve_algo algo in
       let cap = solver.Solver.capability in
       (* Shared capability-mismatch UX: a finite bound on a solver that

@@ -89,11 +89,11 @@ let () =
        | Some c, Some m when m > c -> report "hierarchy" t "multiple > closest"
        | _ -> ()
      end);
-    (* constrained placement: dp_qos vs brute (whose validity check
-       includes QoS/bandwidth violations) on a randomly constrained
-       variant; greedy_qos must agree on feasibility exactly and stay
-       valid. Roughly a quarter of the variants end up unconstrained,
-       fuzzing the degenerate path too. *)
+    (* constrained placement: dp_withpre vs brute (whose validity
+       check includes QoS/bandwidth violations) on a randomly
+       constrained variant; greedy_qos must agree on feasibility
+       exactly and stay valid. Roughly a quarter of the variants end up
+       unconstrained, fuzzing the one-class path too. *)
     (let ct =
        let qt =
          if Rng.bool rng then
@@ -105,12 +105,14 @@ let () =
        else qt
      in
      let oracle = Brute.min_basic_cost ct ~w ~cost in
-     (match (Dp_qos.solve ct ~w ~cost, oracle) with
-      | Some d, Some (bc, _) when abs_float (d.Dp_qos.cost -. bc) > 1e-9 ->
-          report "dp_qos" ct (Printf.sprintf "w=%d %f vs %f" w d.Dp_qos.cost bc)
-      | Some d, Some _ when not (Solution.is_valid ct ~w d.Dp_qos.solution) ->
-          report "dp_qos-valid" ct (Printf.sprintf "w=%d" w)
-      | None, Some _ | Some _, None -> report "dp_qos-feas" ct ""
+     (match (Dp_withpre.solve ct ~w ~cost, oracle) with
+      | Some d, Some (bc, _) when abs_float (d.Dp_withpre.cost -. bc) > 1e-9 ->
+          report "dp_withpre-qos" ct
+            (Printf.sprintf "w=%d %f vs %f" w d.Dp_withpre.cost bc)
+      | Some d, Some _ when not (Solution.is_valid ct ~w d.Dp_withpre.solution)
+        ->
+          report "dp_withpre-qos-valid" ct (Printf.sprintf "w=%d" w)
+      | None, Some _ | Some _, None -> report "dp_withpre-qos-feas" ct ""
       | _ -> ());
      match (Greedy_qos.solve ct ~w, oracle) with
      | Some g, Some _ when not (Solution.is_valid ct ~w g) ->

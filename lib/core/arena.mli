@@ -1,6 +1,6 @@
 (** Flat arena for catenable placement lists — how every dynamic
-    program of this library ({!Dp_power}, {!Dp_withpre}, {!Dp_qos},
-    {!Dp_nopre}, {!Multiple}) carries the placement realizing each
+    program of this library ({!Dp_power}, {!Dp_withpre}, {!Dp_nopre},
+    {!Multiple}) carries the placement realizing each
     table cell. This is the paper's §3.3 "copy outside the loop"
     device: extending a placement is an O(1) push, and the full list
     is materialized once, at the root.

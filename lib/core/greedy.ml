@@ -2,6 +2,8 @@ module Span = Replica_obs.Span
 
 type kernel = {
   tree : Tree.t;
+  children : Tree.node array array;
+      (* held here: [fill] reads it for every node of every pass *)
   post : Tree.node array;
   own : int array;  (* each node's own client load *)
   flow : int array;
@@ -20,6 +22,7 @@ let kernel tree =
   done;
   {
     tree;
+    children = Tree.children_arrays tree;
     post = Tree.postorder tree;
     own = Array.init n (Tree.client_load tree);
     flow = Array.make n 0;
@@ -98,7 +101,7 @@ let fill k ~w =
   let feasible = ref true in
   for p = 0 to Array.length k.post - 1 do
     let j = k.post.(p) in
-    let cs = Tree.children_array k.tree j in
+    let cs = k.children.(j) in
     let d = Array.length cs in
     let arriving = ref k.own.(j) in
     for i = 0 to d - 1 do

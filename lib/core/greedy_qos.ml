@@ -12,7 +12,7 @@
    under the closest policy), so a forced placement always succeeds and
    the greedy fails exactly on the truly infeasible instances. It is NOT
    count-optimal — an early forced server can beat two late ones — hence
-   the [Heuristic] capability; {!Dp_qos} carries exactness. *)
+   the [Heuristic] capability; {!Dp_withpre} carries exactness. *)
 
 module Span = Replica_obs.Span
 

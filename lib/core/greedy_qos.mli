@@ -8,7 +8,7 @@
     Feasibility-complete — returns [None] exactly when no placement at
     all satisfies capacity, QoS and bandwidth (some node's own client
     load exceeds [w], or the brute oracle agrees it is infeasible) — but
-    not count-optimal, so it registers as a [Heuristic]; use {!Dp_qos}
+    not count-optimal, so it registers as a [Heuristic]; use {!Dp_withpre}
     for the optimum. On unconstrained trees it behaves exactly like
     {!Greedy}. *)
 

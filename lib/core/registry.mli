@@ -7,11 +7,15 @@
     DESIGN.md capability matrix and every registry-driven table — is:
 
     [greedy], [dp-nopre], [dp-withpre], [heuristic-cost] (cost);
+    [greedy-qos] (QoS/bandwidth-constrained);
     [dp-power], [gr-power], [heuristic], [multi-start], [anneal]
     (power); [multiple], [upwards] (access-policy extensions);
     [brute] (exhaustive oracle, guarded to tiny trees). *)
 
 val find : string -> Solver.t option
+(** The entry registered under a name. [dp-qos], the former name of the
+    constrained exact DP, resolves to [dp-withpre]. *)
+
 val all : unit -> Solver.t list
 val names : unit -> string list
 

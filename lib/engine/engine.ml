@@ -93,7 +93,7 @@ let create cfg =
   let entry_solver = resolve_solver cfg in
   (* Labeled registry instruments, interned by (name, labels): two
      engines with the same solver and policy share series, and the
-     exposition distinguishes e.g. solver="dp-qos" from
+     exposition distinguishes e.g. solver="dp-withpre" from
      solver="greedy". Updates are side-effect-only — placements are
      bit-identical with telemetry consumers attached or not. *)
   let labels =
@@ -197,13 +197,13 @@ let check_constraint_capability t demand_tree =
     invalid_arg
       (Printf.sprintf
          "Engine: %s cannot enforce the epoch's QoS bounds (use a \
-          qos-capable solver, e.g. dp-qos)"
+          qos-capable solver, e.g. dp-withpre)"
          t.entry_solver.Solver.name);
   if Tree.has_bandwidth demand_tree && not c.Solver.handles_bw then
     invalid_arg
       (Printf.sprintf
          "Engine: %s cannot enforce the epoch's bandwidth caps (use a \
-          bw-capable solver, e.g. dp-qos)"
+          bw-capable solver, e.g. dp-withpre)"
          t.entry_solver.Solver.name)
 
 let step t demand_tree =
@@ -317,17 +317,7 @@ let step t demand_tree =
   in
   if tracing then
     Span.end_span ~args:[ ("reconfigured", Span.Bool reconfigured) ] ();
-  let solve_latency =
-    if Histogram.count t.lat_h = 0 then None
-    else
-      let s = Histogram.summary t.lat_h in
-      Some
-        {
-          Timeline.p50 = float_of_int s.Histogram.p50 *. 1e-9;
-          p90 = float_of_int s.Histogram.p90 *. 1e-9;
-          p99 = float_of_int s.Histogram.p99 *. 1e-9;
-        }
-  in
+  let solve_latency = Timeline.latency_of_histogram t.lat_h in
   let entry =
     {
       Timeline.epoch;

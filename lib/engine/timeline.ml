@@ -2,6 +2,24 @@ module Json = Replica_obs.Json
 
 type latency = { p50 : float; p90 : float; p99 : float }
 
+let latency_of_histogram h =
+  let module H = Replica_obs.Histogram in
+  if H.count h = 0 then None
+  else
+    let s = H.summary h in
+    Some
+      {
+        p50 = float_of_int s.H.p50 *. 1e-9;
+        p90 = float_of_int s.H.p90 *. 1e-9;
+        p99 = float_of_int s.H.p99 *. 1e-9;
+      }
+
+(* The last quantiles of a run: their histogram has seen every solve. *)
+let last_latency latency entries =
+  List.fold_left
+    (fun acc e -> match latency e with Some _ as l -> l | None -> acc)
+    None entries
+
 type entry = {
   epoch : int;
   demand : int;
@@ -39,12 +57,7 @@ let of_entries (entries : entry list) =
       List.length (List.filter (fun (e : entry) -> not e.valid) entries);
     solve_seconds =
       List.fold_left (fun a (e : entry) -> a +. e.solve_seconds) 0. entries;
-    solve_latency =
-      (* The last entry carrying quantiles has seen every solve. *)
-      List.fold_left
-        (fun acc (e : entry) ->
-          match e.solve_latency with Some _ as l -> l | None -> acc)
-        None entries;
+    solve_latency = last_latency (fun (e : entry) -> e.solve_latency) entries;
   }
 
 let print ?(times = false) oc t =

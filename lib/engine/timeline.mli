@@ -21,6 +21,17 @@ type latency = { p50 : float; p90 : float; p99 : float }
     log2 histogram (geometric bin midpoints, within 2x of the true
     value either way; always [p50 <= p90 <= p99]). *)
 
+val latency_of_histogram : Replica_obs.Histogram.t -> latency option
+(** The quantiles of a histogram of nanosecond solve times; [None]
+    while it is empty. Shared by the engine and the forest engine. *)
+
+val last_latency : ('a -> latency option) -> 'a list -> latency option
+(** The last quantiles a run's entries carry: their histogram has seen
+    every solve of the run. *)
+
+val latency_to_json : latency option -> Replica_obs.Json.t
+(** [{"p50_s", "p90_s", "p99_s"}], or [null]. *)
+
 type entry = {
   epoch : int;  (** 1-based *)
   demand : int;  (** total requests this epoch *)

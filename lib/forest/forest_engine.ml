@@ -152,17 +152,7 @@ let step t views =
   let counters =
     Stats_counters.diff counters_before (Stats_counters.snapshot ())
   in
-  let solve_latency =
-    if Histogram.count t.lat_h = 0 then None
-    else
-      let s = Histogram.summary t.lat_h in
-      Some
-        {
-          Timeline.p50 = float_of_int s.Histogram.p50 *. 1e-9;
-          p90 = float_of_int s.Histogram.p90 *. 1e-9;
-          p99 = float_of_int s.Histogram.p99 *. 1e-9;
-        }
-  in
+  let solve_latency = Timeline.latency_of_histogram t.lat_h in
   {
     Forest_timeline.epoch = t.epoch;
     demand =

@@ -43,10 +43,7 @@ let of_entries entries =
     epoch_seconds =
       List.fold_left (fun a (e : entry) -> a +. e.epoch_seconds) 0. entries;
     solve_latency =
-      List.fold_left
-        (fun acc (e : entry) ->
-          match e.solve_latency with Some _ as l -> l | None -> acc)
-        None entries;
+      Timeline.last_latency (fun (e : entry) -> e.solve_latency) entries;
   }
 
 let print ?(times = false) oc t =
@@ -80,16 +77,6 @@ let print ?(times = false) oc t =
   end;
   Printf.fprintf oc "\n"
 
-let latency_to_json = function
-  | None -> Json.Null
-  | Some l ->
-      Json.Obj
-        [
-          ("p50_s", Json.Float l.Timeline.p50);
-          ("p90_s", Json.Float l.Timeline.p90);
-          ("p99_s", Json.Float l.Timeline.p99);
-        ]
-
 let entry_to_json (e : entry) =
   Json.Obj
     [
@@ -105,7 +92,7 @@ let entry_to_json (e : entry) =
       ("unrepaired", Json.Int e.unrepaired);
       ("max_server_load", Json.Int e.max_server_load);
       ("epoch_seconds", Json.Float e.epoch_seconds);
-      ("solve_latency", latency_to_json e.solve_latency);
+      ("solve_latency", Timeline.latency_to_json e.solve_latency);
       ( "counters",
         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) e.counters) );
     ]
@@ -122,7 +109,7 @@ let to_json ?(config = []) ?timeseries t =
              ("invalid_epochs", Json.Int t.invalid_epochs);
              ("repair_added", Json.Int t.repair_added);
              ("epoch_seconds", Json.Float t.epoch_seconds);
-             ("solve_latency", latency_to_json t.solve_latency);
+             ("solve_latency", Timeline.latency_to_json t.solve_latency);
            ] );
        ("epochs", Json.List (List.map entry_to_json t.entries));
      ]

@@ -91,19 +91,19 @@ let specs_for = function
   | "qos" ->
       [
         hard [ "greedy_feasibility_agrees" ] Exact;
-        hard [ "unconstrained_identical_to_dp_withpre" ] Exact;
+        hard [ "brute_agrees" ] Exact;
         hard [ "tight"; "feasible" ] Exact;
         hard [ "tight"; "servers_total" ] Exact;
-        hard [ "tight"; "dp_qos.merge_products" ] Lower_better;
-        hard [ "tight"; "dp_qos.cells_created" ] Lower_better;
-        hard [ "tight"; "dp_qos.peak_frontier" ] Lower_better;
+        hard [ "tight"; "dp_withpre.merge_products" ] Lower_better;
+        hard [ "tight"; "dp_withpre.cells_created" ] Lower_better;
+        hard [ "tight"; "dp_withpre.peak_table_size" ] Lower_better;
         hard [ "loose"; "feasible" ] Exact;
         hard [ "loose"; "servers_total" ] Exact;
-        hard [ "loose"; "dp_qos.merge_products" ] Lower_better;
-        soft [ "tight"; "dp_qos.tables.seconds" ] Lower_better ~rel_tol:0.25
-          ~abs_floor:0.002;
-        soft [ "loose"; "dp_qos.tables.seconds" ] Lower_better ~rel_tol:0.25
-          ~abs_floor:0.002;
+        hard [ "loose"; "dp_withpre.merge_products" ] Lower_better;
+        soft [ "tight"; "dp_withpre.tables.seconds" ] Lower_better
+          ~rel_tol:0.25 ~abs_floor:0.002;
+        soft [ "loose"; "dp_withpre.tables.seconds" ] Lower_better
+          ~rel_tol:0.25 ~abs_floor:0.002;
       ]
   | "forest" ->
       [

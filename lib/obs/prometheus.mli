@@ -35,7 +35,7 @@ val expose : unit -> string
 (** Render the whole {!Metrics} registry — labeled instruments,
     collectors (so [Replica_core.Stats_counters] counters and timers
     appear), the legacy histogram registry and the span drop counter —
-    as one exposition. Label sets ([solver="dp-qos"], [shard="3"])
+    as one exposition. Label sets ([solver="dp-withpre"], [shard="3"])
     render inline; histogram families may carry several label sets,
     each with its own bucket/sum/count series. *)
 

@@ -154,12 +154,7 @@ let of_string contents =
     }
 
 let of_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | contents -> of_string contents
   | exception Sys_error e ->
       (* Sys_error messages lead with the path; callers prefix it too. *)

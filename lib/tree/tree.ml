@@ -207,6 +207,7 @@ let root _ = 0
 let parent t j = if j = 0 then None else Some t.parents.(j)
 let children t j = Array.to_list t.children.(j)
 let children_array t j = t.children.(j)
+let children_arrays t = t.children
 let clients t j = Array.to_list t.clients.(j)
 let client_load t j = Array.fold_left ( + ) 0 t.clients.(j)
 let initial_mode t j = t.pre.(j)
@@ -222,23 +223,32 @@ let bandwidth t j = t.bw.(j)
    node is the minimum over its clients. Zero-request clients generate
    no flow and are vacuously served; they do not constrain. *)
 let qos_radius t j =
+  let cl = t.clients.(j) and ql = t.qos.(j) in
   let r = ref unbounded in
-  Array.iteri
-    (fun i req -> if req > 0 && t.qos.(j).(i) < !r then r := t.qos.(j).(i))
-    t.clients.(j);
+  for i = 0 to Array.length cl - 1 do
+    if cl.(i) > 0 && ql.(i) < !r then r := ql.(i)
+  done;
   !r
 
+(* Plain loops, no closures: the engine asks on every epoch and the DP
+   on every solve, so a query must not allocate. *)
 let has_qos t =
-  let found = ref false in
-  Array.iteri
-    (fun j ql ->
-      Array.iteri
-        (fun i q -> if q <> unbounded && t.clients.(j).(i) > 0 then found := true)
-        ql)
-    t.qos;
+  let found = ref false and j = ref 0 in
+  while (not !found) && !j < Array.length t.qos do
+    let cl = t.clients.(!j) and ql = t.qos.(!j) in
+    for i = 0 to Array.length ql - 1 do
+      if ql.(i) <> unbounded && cl.(i) > 0 then found := true
+    done;
+    incr j
+  done;
   !found
 
-let has_bandwidth t = Array.exists (fun b -> b <> unbounded) t.bw
+let has_bandwidth t =
+  let found = ref false in
+  for j = 0 to Array.length t.bw - 1 do
+    if t.bw.(j) <> unbounded then found := true
+  done;
+  !found
 let is_constrained t = has_qos t || has_bandwidth t
 
 let pre_existing t =

@@ -83,6 +83,10 @@ val children_array : t -> node -> node array
     unchanged arrays, so the array returned here may belong to several
     trees at once. *)
 
+val children_arrays : t -> node array array
+(** Every node's {!children_array} at once, for loops that visit the
+    whole tree many times; the same no-mutation rule applies. *)
+
 val clients : t -> node -> int list
 (** Request counts of the client leaves attached to a node. *)
 

@@ -103,5 +103,21 @@ let cost_cheap = Cost.paper_cheap ~modes:2
 let cost_expensive = Cost.paper_expensive ~modes:2
 let zero_cost = Cost.basic ()
 
+(* Bit-identity of two MinCost-WithPre results: feasibility, placement,
+   cost bits, server and reuse counts. *)
+let same_result msg (expected : Dp_withpre.result option)
+    (got : Dp_withpre.result option) =
+  match (expected, got) with
+  | None, None -> ()
+  | Some a, Some b ->
+      check cb (msg ^ ": solution") true
+        (Solution.equal a.Dp_withpre.solution b.Dp_withpre.solution);
+      check Alcotest.int64 (msg ^ ": cost bits")
+        (Int64.bits_of_float a.Dp_withpre.cost)
+        (Int64.bits_of_float b.Dp_withpre.cost);
+      check ci (msg ^ ": servers") a.Dp_withpre.servers b.Dp_withpre.servers;
+      check ci (msg ^ ": reused") a.Dp_withpre.reused b.Dp_withpre.reused
+  | _ -> Alcotest.failf "%s: feasibility differs" msg
+
 let solution_testable =
   Alcotest.testable Solution.pp Solution.equal

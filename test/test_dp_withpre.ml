@@ -237,20 +237,6 @@ let oracle_tree rng i =
   let t = Generator.random rng profile in
   Generator.add_pre_existing rng t (Rng.int rng ((nodes / 2) + 1))
 
-let same_result msg (expected : Dp_withpre.result option)
-    (got : Dp_withpre.result option) =
-  match (expected, got) with
-  | None, None -> ()
-  | Some a, Some b ->
-      check cb (msg ^ ": solution") true
-        (Solution.equal a.Dp_withpre.solution b.Dp_withpre.solution);
-      check Alcotest.int64 (msg ^ ": cost bits")
-        (Int64.bits_of_float a.Dp_withpre.cost)
-        (Int64.bits_of_float b.Dp_withpre.cost);
-      check ci (msg ^ ": servers") a.Dp_withpre.servers b.Dp_withpre.servers;
-      check ci (msg ^ ": reused") a.Dp_withpre.reused b.Dp_withpre.reused
-  | _ -> Alcotest.failf "%s: feasibility differs" msg
-
 (* The staircase of a dense table: in each row, the cells whose flow is
    strictly below that of every cell with fewer new servers. *)
 let staircase dense =

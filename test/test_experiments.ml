@@ -259,7 +259,7 @@ let test_scaling_smoke () =
   let ms =
     Scaling.measure_cost_algorithms ~sizes:[ 12; 18 ] ~shape:Workload.Fat ()
   in
-  check ci "six registry cost solvers x two sizes" 12 (List.length ms);
+  check ci "five registry cost solvers x two sizes" 10 (List.length ms);
   List.iter
     (fun m ->
       check cb "time non-negative" true (m.Scaling.seconds >= 0.);
@@ -349,7 +349,7 @@ let test_exp_update_smoke () =
     }
   in
   let rows = Exp_update.run config in
-  check ci "six registry cost solvers" 6 (List.length rows);
+  check ci "five registry cost solvers" 5 (List.length rows);
   let dp =
     List.find (fun r -> r.Exp_update.algorithm = "dp-withpre") rows
   in

@@ -49,7 +49,10 @@ let test_names_unique_and_resolvable () =
       | None -> Alcotest.failf "registered name %S does not resolve" n)
     names;
   check cb "unknown names are rejected" true
-    (Registry.find "no-such-solver" = None)
+    (Registry.find "no-such-solver" = None);
+  check cb "dp-qos is another name for dp-withpre" true
+    (get_entry "dp-qos" == get_entry "dp-withpre");
+  check cb "dp-qos is not a registered name" false (List.mem "dp-qos" names)
 
 let test_memo_coherence () =
   List.iter

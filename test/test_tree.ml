@@ -231,6 +231,63 @@ let test_with_pre_existing_rebuilt () =
       done)
     (fingerprint_trees ())
 
+(* The constraint flags agree with the per-client and per-link
+   accessors on plain, constrained and derived trees, and a query
+   allocates nothing: the engine asks on every epoch. *)
+let test_constraint_flags () =
+  let expect_qos t =
+    List.exists
+      (fun j ->
+        List.exists2
+          (fun r q -> r > 0 && q <> Tree.unbounded)
+          (Tree.clients t j) (Tree.client_qos t j))
+      (List.init (Tree.size t) Fun.id)
+  in
+  let expect_bw t =
+    List.exists
+      (fun j -> j > 0 && Tree.bandwidth t j <> Tree.unbounded)
+      (List.init (Tree.size t) Fun.id)
+  in
+  let rng = Rng.create 160 in
+  let fat = Generator.random rng (Generator.fat ~nodes:160 ()) in
+  let qos = Generator.add_qos rng fat ~min_qos:0 ~max_qos:3 in
+  let trees =
+    [
+      fat;
+      qos;
+      Generator.add_bandwidth rng fat ~slack:1.5;
+      Generator.tight_constraints rng fat;
+      (* bounds on idle clients only: not a QoS constraint *)
+      Tree.with_clients qos (fun j ->
+          List.map (fun _ -> 0) (Tree.clients qos j));
+      Tree.with_pre_existing (Generator.loose_constraints rng fat) [ (3, 1) ];
+    ]
+  in
+  List.iteri
+    (fun i t ->
+      let msg = Printf.sprintf "tree %d" i in
+      check cb (msg ^ ": has_qos") (expect_qos t) (Tree.has_qos t);
+      check cb (msg ^ ": has_bandwidth") (expect_bw t) (Tree.has_bandwidth t);
+      check cb (msg ^ ": is_constrained")
+        (expect_qos t || expect_bw t)
+        (Tree.is_constrained t))
+    trees;
+  check cb "idle bounds do not constrain" false
+    (Tree.has_qos (List.nth trees 4));
+  let words f t =
+    let before = Gc.minor_words () in
+    for _ = 1 to 1000 do
+      ignore (Sys.opaque_identity (f t))
+    done;
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun t ->
+      check cb "has_qos allocates nothing" true (words Tree.has_qos t < 100.);
+      check cb "is_constrained allocates nothing" true
+        (words Tree.is_constrained t < 100.))
+    [ fat; qos ]
+
 let () =
   Alcotest.run "tree"
     [
@@ -241,6 +298,7 @@ let () =
           Alcotest.test_case "pre-existing" `Quick test_pre_existing;
           Alcotest.test_case "single node" `Quick test_single_node;
           Alcotest.test_case "equality" `Quick test_equal;
+          Alcotest.test_case "constraint flags" `Quick test_constraint_flags;
         ] );
       ( "traversal",
         [
