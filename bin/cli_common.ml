@@ -229,96 +229,257 @@ let anomaly_k_arg =
            when epoch latency > K x trailing median (default 3.0; 0 dumps \
            every epoch, useful for smoke tests).")
 
+let json_file_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:"Write the full machine-readable timeline to $(docv).")
+
+let write_json path json =
+  write_string_file path (Replica_obs.Json.to_string ~pretty:true json ^ "\n")
+
 type telemetry = {
-  tele_ts : Replica_obs.Timeseries.t option;
-  tele_fr : Replica_obs.Flight_recorder.t option;
-  tele_heap : Replica_obs.Chrome_trace.counter list ref option;
+  json : string option;
+  trace : string option;
+  metrics : string option;
+  timeseries : string option;
+  stride : int;
+  openmetrics : string option;
+  flight_record : string option;
+  anomaly_k : float;
 }
 
-(* The time series is recorded whenever any consumer wants it: the
-   --timeseries / --openmetrics artifacts or the --json envelope. *)
-let make_telemetry ~json ~timeseries ~stride ~openmetrics ~flight_record
-    ~anomaly_k ~trace_file () =
-  if stride < 1 then die "--timeseries-stride must be >= 1";
-  if anomaly_k < 0. then die "--anomaly-k must be non-negative";
+let telemetry_term =
+  let make json trace metrics timeseries stride openmetrics flight_record
+      anomaly_k =
+    {
+      json;
+      trace;
+      metrics;
+      timeseries;
+      stride;
+      openmetrics;
+      flight_record;
+      anomaly_k;
+    }
+  in
+  Term.(
+    const make $ json_file_arg $ trace_file_arg $ metrics_file_arg
+    $ timeseries_file_arg $ timeseries_stride_arg $ openmetrics_file_arg
+    $ flight_record_arg $ anomaly_k_arg)
+
+(* Serve [epochs ()] through [step] under the run's telemetry, reading
+   each entry's epoch number with [epoch] and its latency in seconds
+   with [latency]. Returns the entries and the per-epoch time series,
+   recorded whenever a consumer wants it: --timeseries, --openmetrics
+   or the --json envelope. Sampling, heap counters and the flight
+   recorder read state only, so entries are identical with telemetry on
+   or off. *)
+let run_epochs tele ~epoch ~latency step epochs =
+  let module Span = Replica_obs.Span in
+  let module Ts = Replica_obs.Timeseries in
+  let module F = Replica_obs.Flight_recorder in
+  if tele.stride < 1 then die "--timeseries-stride must be >= 1";
+  if tele.anomaly_k < 0. then die "--anomaly-k must be non-negative";
   (* Telemetry always carries the memory axis: the gc.* collector feeds
      the registry (hence Prometheus/Timeseries/--json), and pure reads
      cannot perturb placements. *)
   Replica_obs.Gc_stats.register ();
-  let tele_ts =
-    if json <> None || timeseries <> None || openmetrics <> None then
-      Some (Replica_obs.Timeseries.create ~stride ())
+  let ts =
+    if tele.json <> None || tele.timeseries <> None || tele.openmetrics <> None
+    then Some (Ts.create ~stride:tele.stride ())
     else None
   in
-  let tele_fr =
+  let fr =
     Option.map
       (fun path ->
-        if trace_file <> None then
+        if tele.trace <> None then
           die
             "--flight-record conflicts with --trace (the recorder owns the \
              span buffers)";
-        Replica_obs.Span.set_enabled true;
-        Replica_obs.Span.set_alloc true;
-        Replica_obs.Flight_recorder.create ~k:anomaly_k ~path ())
-      flight_record
+        Span.set_enabled true;
+        Span.set_alloc true;
+        F.create ~k:tele.anomaly_k ~path ())
+      tele.flight_record
   in
-  let tele_heap = Option.map (fun _ -> ref []) trace_file in
-  { tele_ts; tele_fr; tele_heap }
-
-(* Call once per epoch, after the epoch's work. Sampling reads the
-   registry only — placements are identical with telemetry on or off. *)
-let telemetry_epoch tele ~epoch ~latency_ns =
-  Option.iter (fun ts -> Replica_obs.Timeseries.sample ts ~epoch) tele.tele_ts;
-  Option.iter
-    (fun heap ->
-      heap :=
-        Replica_obs.Gc_stats.heap_counter
-          ~ts_ns:(Replica_obs.Clock.now_ns ())
-        :: !heap)
-    tele.tele_heap;
+  let heap = ref [] in
+  let entries =
+    try
+      with_tracing
+        ~counters:(fun () -> List.rev !heap)
+        tele.trace
+        (fun () ->
+          let entries =
+            List.map
+              (fun x ->
+                let e = step x in
+                let epoch = epoch e in
+                Option.iter (fun ts -> Ts.sample ts ~epoch) ts;
+                if tele.trace <> None then
+                  heap :=
+                    Replica_obs.Gc_stats.heap_counter
+                      ~ts_ns:(Replica_obs.Clock.now_ns ())
+                    :: !heap;
+                Option.iter
+                  (fun fr ->
+                    ignore
+                      (F.record fr ~epoch
+                         ~latency_ns:(int_of_float (latency e *. 1e9))))
+                  fr;
+                e)
+              (epochs ())
+          in
+          (* Metrics are written inside the traced region: with_tracing's
+             cleanup resets the span buffers (and the dropped-span count
+             the exposition includes), so snapshotting after it would
+             always report obs.spans_dropped 0. *)
+          Option.iter write_metrics tele.metrics;
+          entries)
+    with Invalid_argument msg ->
+      (* An epoch's constraints outran the solver's capability
+         (Engine.step's per-epoch guard): same exit-2 path as the
+         creation-time checks. *)
+      die "%s" msg
+  in
   Option.iter
     (fun fr ->
-      ignore (Replica_obs.Flight_recorder.record fr ~epoch ~latency_ns))
-    tele.tele_fr
-
-(* Per-epoch heap counter events, oldest first, for the trace writer. *)
-let telemetry_counters tele () =
-  match tele.tele_heap with None -> [] | Some heap -> List.rev !heap
-
-let telemetry_finish tele ~timeseries ~openmetrics =
-  Option.iter
-    (fun fr ->
-      Replica_obs.Span.set_alloc false;
-      Replica_obs.Span.set_enabled false;
-      Replica_obs.Span.reset ();
-      let module F = Replica_obs.Flight_recorder in
+      Span.set_alloc false;
+      Span.set_enabled false;
+      Span.reset ();
       match F.last_dump_epoch fr with
       | Some e ->
           Printf.eprintf
             "flight-recorder: %d dump(s), last at epoch %d -> %s\n%!"
             (F.dumps fr) e (F.path fr)
       | None -> Printf.eprintf "flight-recorder: no anomaly, no dump\n%!")
-    tele.tele_fr;
+    fr;
   Option.iter
     (fun ts ->
       Option.iter
         (fun path ->
           let module Json = Replica_obs.Json in
-          write_string_file path
-            (Json.to_string ~pretty:true
-               (Json.envelope ~kind:"timeseries" ~config:[]
-                  [
-                    ( "stride",
-                      Json.Int (Replica_obs.Timeseries.stride ts) );
-                    ("points", Replica_obs.Timeseries.to_json ts);
-                  ])
-            ^ "\n"))
-        timeseries;
+          write_json path
+            (Json.envelope ~kind:"timeseries" ~config:[]
+               [
+                 ("stride", Json.Int (Ts.stride ts));
+                 ("points", Ts.to_json ts);
+               ]))
+        tele.timeseries;
       Option.iter
-        (fun path ->
-          write_string_file path (Replica_obs.Timeseries.to_openmetrics ts))
-        openmetrics)
-    tele.tele_ts
+        (fun path -> write_string_file path (Ts.to_openmetrics ts))
+        tele.openmetrics)
+    ts;
+  (entries, ts)
+
+(* --- online run flags (engine, forest, top) --- *)
+
+let horizon_arg default =
+  Arg.(
+    value & opt float default
+    & info [ "horizon" ] ~docv:"T" ~doc:"Trace length in time units.")
+
+let window_arg =
+  Arg.(
+    value & opt float 1.
+    & info [ "window" ] ~docv:"T" ~doc:"Epoch aggregation window.")
+
+let w_arg =
+  Arg.(
+    value & opt int Workload.capacity
+    & info [ "w" ] ~docv:"W" ~doc:"Server capacity (maximal mode).")
+
+(* Enum tables give each name once: the flag parser and the --json
+   config both read them. *)
+let workloads =
+  [ ("poisson", `Poisson); ("diurnal", `Diurnal); ("flash", `Flash) ]
+
+let solvers =
+  Replica_engine.Engine.[ ("full", Full); ("incremental", Incremental) ]
+
+let name_of table v = fst (List.find (fun (_, x) -> x = v) table)
+
+let workload_arg =
+  Arg.(
+    value & opt (enum workloads) `Diurnal
+    & info [ "workload" ] ~docv:"KIND"
+        ~doc:
+          "Arrival process: $(b,poisson) (homogeneous), $(b,diurnal) \
+           (day/night modulation) or $(b,flash) (Poisson plus a flash \
+           crowd on the root's first subtree; in a forest, on each \
+           shard's).")
+
+let policy_arg =
+  let parse s =
+    let fail () =
+      Error
+        (`Msg
+           (Printf.sprintf
+              "invalid policy %S: expected lazy, systematic, periodic:K or \
+               drift:F"
+              s))
+    in
+    match String.lowercase_ascii s with
+    | "lazy" -> Ok Update_policy.Lazy
+    | "systematic" -> Ok Update_policy.Systematic
+    | s -> (
+        match String.index_opt s ':' with
+        | None -> fail ()
+        | Some i -> (
+            let kind = String.sub s 0 i
+            and v = String.sub s (i + 1) (String.length s - i - 1) in
+            match kind with
+            | "periodic" -> (
+                match int_of_string_opt v with
+                | Some k when k > 0 -> Ok (Update_policy.Periodic k)
+                | _ -> fail ())
+            | "drift" -> (
+                match float_of_string_opt v with
+                | Some f when f > 0. -> Ok (Update_policy.Drift f)
+                | _ -> fail ())
+            | _ -> fail ()))
+  in
+  let print ppf p =
+    Format.pp_print_string ppf (Update_policy.policy_to_string p)
+  in
+  Arg.(
+    value
+    & opt (conv (parse, print)) Update_policy.Lazy
+    & info [ "policy" ] ~docv:"POLICY"
+        ~doc:
+          "Update policy: $(b,lazy), $(b,systematic), $(b,periodic:K) \
+           (every K epochs) or $(b,drift:F) (relative demand drift \
+           threshold F).")
+
+let solver_arg =
+  Arg.(
+    value & opt (enum solvers) Replica_engine.Engine.Incremental
+    & info [ "solver" ] ~docv:"SOLVER"
+        ~doc:
+          "Re-solving strategy: $(b,full) rebuilds every DP table each \
+           reconfiguration; $(b,incremental) reuses subtree tables cached \
+           under demand fingerprints (in a forest, each shard keeps its \
+           own memo). Placements are identical; only the work differs \
+           (visible in the per-epoch counter deltas and solve times).")
+
+let algo_arg =
+  Arg.(
+    value & opt (some string) None
+    & info [ "algo" ] ~docv:"ALGO"
+        ~doc:
+          "Registry solver to reconfigure with (default: the exact DP for \
+           the objective — $(b,dp-withpre) for cost, $(b,dp-power) for \
+           $(b,engine --power)). $(b,forest --coupling) accepts only \
+           solvers whose capability row shows $(b,coupling). See \
+           $(b,solve --list-algos).")
+
+let no_time_flag =
+  Arg.(
+    value & flag
+    & info [ "no-time" ]
+        ~doc:
+          "Omit wall-clock figures from the printed timeline, making the \
+           output fully deterministic for a fixed seed (used by the cram \
+           test). The JSON artifact always records times.")
 
 (* Read to end of file, so pipes such as /dev/stdin work too. *)
 let read_file path = In_channel.with_open_bin path In_channel.input_all

@@ -32,50 +32,6 @@ let servers_arg =
           "Physical server pool size the tree nodes map onto (default: \
            twice the tree size; must be at least the tree size).")
 
-let horizon_arg =
-  Arg.(
-    value & opt float 8.
-    & info [ "horizon" ] ~docv:"T" ~doc:"Trace length in time units.")
-
-let window_arg =
-  Arg.(
-    value & opt float 1.
-    & info [ "window" ] ~docv:"T" ~doc:"Epoch aggregation window.")
-
-let workload_arg =
-  let workload_conv =
-    Arg.enum [ ("poisson", `Poisson); ("diurnal", `Diurnal); ("flash", `Flash) ]
-  in
-  Arg.(
-    value & opt workload_conv `Diurnal
-    & info [ "workload" ] ~docv:"KIND"
-        ~doc:
-          "Arrival process per shard: $(b,poisson), $(b,diurnal) or \
-           $(b,flash) (Poisson plus a flash crowd on each shard's first \
-           root subtree).")
-
-let solver_arg =
-  let solver_conv =
-    Arg.enum [ ("full", Engine.Full); ("incremental", Engine.Incremental) ]
-  in
-  Arg.(
-    value & opt solver_conv Engine.Incremental
-    & info [ "solver" ] ~docv:"SOLVER"
-        ~doc:
-          "Per-shard re-solving strategy: $(b,full) or $(b,incremental) \
-           (each shard keeps its own memo). Placements are identical; only \
-           the work differs.")
-
-let algo_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "algo" ] ~docv:"ALGO"
-        ~doc:
-          "Registry solver every shard reconfigures with (default: \
-           $(b,dp-withpre)). With $(b,--coupling), only solvers whose \
-           capability row shows $(b,coupling) are accepted. See $(b,solve \
-           --list-algos).")
-
 let coupling_flag =
   Arg.(
     value & flag
@@ -94,30 +50,9 @@ let domains_arg =
           "Domains for the parallel per-shard solves. Placements are \
            identical at any value.")
 
-let w_arg =
-  Arg.(
-    value & opt int Workload.capacity
-    & info [ "w" ] ~docv:"W" ~doc:"Server capacity.")
-
-let json_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"Write the full machine-readable forest timeline to $(docv).")
-
-let no_time_flag =
-  Arg.(
-    value & flag
-    & info [ "no-time" ]
-        ~doc:
-          "Omit wall-clock figures from the printed timeline, making the \
-           output fully deterministic for a fixed seed (used by the cram \
-           test). The JSON artifact always records times.")
-
 let cmd =
   let run shape nodes seed trees objects servers horizon window workload
-      policy solver algo coupling domains w json no_time trace_file metrics
-      timeseries ts_stride openmetrics flight_record anomaly_k =
+      policy solver algo coupling domains w no_time tele =
     if nodes <= 0 then die "--nodes must be positive";
     let servers = match servers with Some s -> s | None -> 2 * nodes in
     let profile = Workload.profile shape ~nodes ~max_requests:6 in
@@ -153,33 +88,14 @@ let cmd =
       (Forest.num_servers forest)
       (Forest_trace.total_events ft)
       (Replica_trace.Trace.duration ft.Forest_trace.merged);
-    let tele =
-      make_telemetry ~json ~timeseries ~stride:ts_stride ~openmetrics
-        ~flight_record ~anomaly_k ~trace_file ()
+    let entries, timeseries =
+      run_epochs tele
+        ~epoch:(fun e -> e.Forest_timeline.epoch)
+        ~latency:(fun e -> e.Forest_timeline.epoch_seconds)
+        (Forest_engine.step engine)
+        (fun () -> Forest_trace.epochs ft forest ~window)
     in
-    let timeline =
-      try
-        with_tracing ~counters:(telemetry_counters tele) trace_file (fun () ->
-            let grid = Forest_trace.epochs ft forest ~window in
-            let tl =
-              Forest_timeline.of_entries
-                (List.map
-                   (fun views ->
-                     let e = Forest_engine.step engine views in
-                     telemetry_epoch tele ~epoch:e.Forest_timeline.epoch
-                       ~latency_ns:
-                         (int_of_float
-                            (e.Forest_timeline.epoch_seconds *. 1e9));
-                     e)
-                   grid)
-            in
-            (* Inside the traced region: with_tracing's cleanup resets
-               the span buffers the metrics exposition includes. *)
-            Option.iter write_metrics metrics;
-            tl)
-      with Invalid_argument msg -> die "%s" msg
-    in
-    telemetry_finish tele ~timeseries ~openmetrics;
+    let timeline = Forest_timeline.of_entries entries in
     Forest_timeline.print ~times:(not no_time) stdout timeline;
     Option.iter
       (fun path ->
@@ -193,31 +109,17 @@ let cmd =
             ("seed", Json.Int seed);
             ("horizon", Json.Float horizon);
             ("window", Json.Float window);
-            ( "workload",
-              Json.String
-                (match workload with
-                | `Poisson -> "poisson"
-                | `Diurnal -> "diurnal"
-                | `Flash -> "flash") );
+            ("workload", Json.String (name_of workloads workload));
             ("policy", Json.String (Update_policy.policy_to_string policy));
-            ( "solver",
-              Json.String
-                (match solver with
-                | Engine.Full -> "full"
-                | Engine.Incremental -> "incremental") );
+            ("solver", Json.String (name_of solvers solver));
             ("algo", Json.String (Forest_engine.solver_name engine));
             ("coupling", Json.Bool coupling);
             ("domains", Json.Int domains);
             ("w", Json.Int w);
           ]
         in
-        let oc = open_out path in
-        output_string oc
-          (Forest_timeline.to_json_string ~config ?timeseries:tele.tele_ts
-             timeline);
-        output_char oc '\n';
-        close_out oc)
-      json
+        write_json path (Forest_timeline.to_json ~config ?timeseries timeline))
+      tele.json
   in
   Cmd.v
     (Cmd.info "forest"
@@ -229,8 +131,6 @@ let cmd =
           machines.")
     Term.(
       const run $ shape_arg $ nodes_arg 20 $ seed_arg $ trees_arg
-      $ objects_arg $ servers_arg $ horizon_arg $ window_arg $ workload_arg
-      $ Cli_engine.policy_arg $ solver_arg $ algo_arg $ coupling_flag
-      $ domains_arg $ w_arg $ json_arg $ no_time_flag $ trace_file_arg
-      $ metrics_file_arg $ timeseries_file_arg $ timeseries_stride_arg
-      $ openmetrics_file_arg $ flight_record_arg $ anomaly_k_arg)
+      $ objects_arg $ servers_arg $ horizon_arg 8. $ window_arg
+      $ workload_arg $ policy_arg $ solver_arg $ algo_arg $ coupling_flag
+      $ domains_arg $ w_arg $ no_time_flag $ telemetry_term)

@@ -163,86 +163,76 @@ let forest_flag =
 let cmd =
   let run shape nodes seed horizon window policy w once forest_mode trees
       objects coupling =
-    let stride = 1 in
     Replica_obs.Gc_stats.register ();
-    let ts = Ts.create ~stride () in
+    let ts = Ts.create ~stride:1 () in
     let t_start = Clock.now_ns () in
     let elapsed () = float_of_int (Clock.now_ns () - t_start) /. 1e9 in
-    if forest_mode then begin
-      let profile = Workload.profile shape ~nodes ~max_requests:6 in
-      let forest =
-        try Forest.generate { Forest.trees; objects; servers = 2 * nodes; profile; seed }
-        with Invalid_argument msg -> die "%s" msg
-      in
-      let ft =
-        Forest_trace.generate forest ~horizon ~seed:(seed + 1)
-          (Forest_trace.Diurnal { period = 24.; floor = 0.25 })
-      in
-      let ecfg =
-        Engine.config ~policy ~w
-          (Engine.Min_cost (Cost.basic ~create:0.5 ~delete:0.25 ()))
-      in
-      let engine =
-        try
-          Forest_engine.create forest
-            { Forest_engine.engine = ecfg; coupling; domains = 1 }
-        with Invalid_argument msg -> die "%s" msg
-      in
-      let grid = Forest_trace.epochs ft forest ~window in
-      let total = List.length grid in
-      List.iter
-        (fun views ->
-          let e = Forest_engine.step engine views in
-          Ts.sample ts ~epoch:e.Forest_timeline.epoch;
-          if not once then begin
-            clear_screen ();
-            render ~mode:"forest"
-              ~solver:(Forest_engine.solver_name engine)
-              ~policy:(Update_policy.policy_to_string policy)
-              ~served:e.Forest_timeline.epoch ~total ~elapsed_s:(elapsed ())
-              ts
-          end)
-        grid;
-      if once then
-        render ~mode:"forest"
-          ~solver:(Forest_engine.solver_name engine)
-          ~policy:(Update_policy.policy_to_string policy) ~served:total
-          ~total ~elapsed_s:(elapsed ()) ts
-    end
-    else begin
-      let open Replica_trace in
-      let rng = Rng.create seed in
-      let tree =
-        Generator.random rng (Workload.profile shape ~nodes ~max_requests:6)
-      in
-      let trace =
-        Arrivals.diurnal rng tree ~horizon ~period:24. ~floor:0.25
-      in
-      let cfg =
-        Engine.config ~policy ~w
-          (Engine.Min_cost (Cost.basic ~create:0.5 ~delete:0.25 ()))
-      in
-      let engine =
-        try Engine.create cfg with Invalid_argument msg -> die "%s" msg
-      in
-      let epochs = Epochs.epochs trace tree ~window in
-      let total = List.length epochs in
-      List.iter
-        (fun t ->
-          let e = Engine.step engine t in
-          Ts.sample ts ~epoch:e.Timeline.epoch;
-          if not once then begin
-            clear_screen ();
-            render ~mode:"engine" ~solver:(Engine.solver_name engine)
-              ~policy:(Update_policy.policy_to_string policy)
-              ~served:e.Timeline.epoch ~total ~elapsed_s:(elapsed ()) ts
-          end)
-        epochs;
-      if once then
-        render ~mode:"engine" ~solver:(Engine.solver_name engine)
-          ~policy:(Update_policy.policy_to_string policy) ~served:total
-          ~total ~elapsed_s:(elapsed ()) ts
-    end
+    let ecfg =
+      Engine.config ~policy ~w
+        (Engine.Min_cost (Cost.basic ~create:0.5 ~delete:0.25 ()))
+    in
+    (* Either mode comes down to one thunk per epoch, which steps the
+       run and returns the epoch number. *)
+    let mode, solver, epochs =
+      if forest_mode then begin
+        let profile = Workload.profile shape ~nodes ~max_requests:6 in
+        let forest =
+          try
+            Forest.generate
+              { Forest.trees; objects; servers = 2 * nodes; profile; seed }
+          with Invalid_argument msg -> die "%s" msg
+        in
+        let ft =
+          Forest_trace.generate forest ~horizon ~seed:(seed + 1)
+            (Forest_trace.Diurnal { period = 24.; floor = 0.25 })
+        in
+        let engine =
+          try
+            Forest_engine.create forest
+              { Forest_engine.engine = ecfg; coupling; domains = 1 }
+          with Invalid_argument msg -> die "%s" msg
+        in
+        ( "forest",
+          Forest_engine.solver_name engine,
+          List.map
+            (fun views () ->
+              (Forest_engine.step engine views).Forest_timeline.epoch)
+            (Forest_trace.epochs ft forest ~window) )
+      end
+      else begin
+        let open Replica_trace in
+        let rng = Rng.create seed in
+        let tree =
+          Generator.random rng (Workload.profile shape ~nodes ~max_requests:6)
+        in
+        let trace =
+          Arrivals.diurnal rng tree ~horizon ~period:24. ~floor:0.25
+        in
+        let engine =
+          try Engine.create ecfg with Invalid_argument msg -> die "%s" msg
+        in
+        ( "engine",
+          Engine.solver_name engine,
+          List.map
+            (fun t () -> (Engine.step engine t).Timeline.epoch)
+            (Epochs.epochs trace tree ~window) )
+      end
+    in
+    let total = List.length epochs in
+    let render served =
+      render ~mode ~solver ~policy:(Update_policy.policy_to_string policy)
+        ~served ~total ~elapsed_s:(elapsed ()) ts
+    in
+    List.iter
+      (fun step ->
+        let epoch = step () in
+        Ts.sample ts ~epoch;
+        if not once then begin
+          clear_screen ();
+          render epoch
+        end)
+      epochs;
+    if once then render total
   in
   Cmd.v
     (Cmd.info "top"
@@ -253,27 +243,7 @@ let cmd =
           artifacts embed. With $(b,--once), render a single snapshot \
           after the run — deterministic enough for CI.")
     Term.(
-      const run $ shape_arg $ nodes_arg 40 $ seed_arg
-      $ Arg.(
-          value & opt float 8.
-          & info [ "horizon" ] ~docv:"T" ~doc:"Trace length in time units.")
-      $ Arg.(
-          value & opt float 1.
-          & info [ "window" ] ~docv:"T" ~doc:"Epoch aggregation window.")
-      $ Cli_engine.policy_arg
-      $ Arg.(
-          value & opt int Workload.capacity
-          & info [ "w" ] ~docv:"W" ~doc:"Server capacity.")
-      $ once_flag $ forest_flag
-      $ Arg.(
-          value & opt int 4
-          & info [ "trees" ] ~docv:"K"
-              ~doc:"Topologies in the forest ($(b,--forest)).")
-      $ Arg.(
-          value & opt int 8
-          & info [ "objects" ] ~docv:"O"
-              ~doc:"Replicated objects ($(b,--forest)).")
-      $ Arg.(
-          value & flag
-          & info [ "coupling" ]
-              ~doc:"Cross-object capacity coupling ($(b,--forest))."))
+      const run $ shape_arg $ nodes_arg 40 $ seed_arg $ horizon_arg 8.
+      $ window_arg $ policy_arg $ w_arg $ once_flag $ forest_flag
+      $ Cli_forest.trees_arg $ Cli_forest.objects_arg
+      $ Cli_forest.coupling_flag)

@@ -21,8 +21,7 @@ let () =
             Cli_experiments.exp3_cmd;
             Cli_experiments.policies_cmd;
             Cli_experiments.heuristics_cmd;
-            Cli_engine.trace_cmd;
-            Cli_engine.engine_cmd;
+            Cli_engine.cmd;
             Cli_forest.cmd;
             Cli_top.cmd;
             Cli_obs.profile_cmd;

@@ -1,6 +1,7 @@
 (* Dynamic replica management: the paper's §6 trade-off between "lazy"
    and "systematic" update strategies, built on the single-step optimal
-   reconfiguration of §3 through the library's Update_policy module.
+   reconfiguration of §3: the library's Update_policy triggers, run by
+   the online Engine.
 
    Client demand drifts over 20 epochs; four policies manage the same
    tree with the same optimal single-step solver:
@@ -15,6 +16,7 @@
 
 open Replica_tree
 open Replica_core
+open Replica_engine
 
 let w = 10
 let cost = Cost.basic ~create:0.5 ~delete:0.25 ()
@@ -76,11 +78,16 @@ let () =
   let summaries =
     List.map
       (fun policy ->
-        let s = Update_policy.simulate ~w ~cost policy demands in
+        let s =
+          Engine.run
+            (Engine.config ~policy ~solver:Engine.Full ~w
+               (Engine.Min_cost cost))
+            demands
+        in
         Printf.printf "%-14s %16.2f %18d %16d\n"
           (Update_policy.policy_to_string policy)
-          s.Update_policy.total_cost s.Update_policy.reconfigurations
-          s.Update_policy.invalid_epochs;
+          s.Timeline.total_cost s.Timeline.reconfigurations
+          s.Timeline.invalid_epochs;
         (policy, s))
       policies
   in
@@ -89,10 +96,10 @@ let () =
   | Some s ->
       let epochs =
         List.filter_map
-          (fun r ->
-            if r.Update_policy.reconfigured then Some (string_of_int r.Update_policy.epoch)
+          (fun e ->
+            if e.Timeline.reconfigured then Some (string_of_int e.Timeline.epoch)
             else None)
-          s.Update_policy.records
+          s.Timeline.entries
       in
       Printf.printf "\nlazy reconfigured at epochs: %s\n"
         (String.concat ", " epochs)

@@ -13,9 +13,15 @@
 open Replica_tree
 open Replica_core
 open Replica_trace
+open Replica_engine
 
 let w = 10
 let cost = Cost.basic ~create:0.5 ~delete:0.25 ()
+
+let simulate policy epochs =
+  Engine.run
+    (Engine.config ~policy ~solver:Engine.Full ~w (Engine.Min_cost cost))
+    epochs
 
 let () =
   let rng = Rng.create 4242 in
@@ -38,27 +44,25 @@ let () =
     (Trace.length trace) (Trace.duration trace) hotspot;
 
   let epochs = Epochs.epochs trace tree ~window:1. in
-  let summary = Update_policy.simulate ~w ~cost Update_policy.Lazy epochs in
+  let summary = simulate Update_policy.Lazy epochs in
   Printf.printf "%5s %8s %9s %15s %10s\n" "hour" "demand" "servers"
     "reconfigured" "cost paid";
-  List.iter2
-    (fun epoch record ->
-      Printf.printf "%5d %8d %9d %15s %10.2f\n" record.Update_policy.epoch
-        (Tree.total_requests epoch)
-        (Solution.cardinal record.Update_policy.servers)
-        (if record.Update_policy.reconfigured then "yes" else "-")
-        record.Update_policy.step_cost)
-    epochs summary.Update_policy.records;
+  List.iter
+    (fun (e : Timeline.entry) ->
+      Printf.printf "%5d %8d %9d %15s %10.2f\n" e.epoch e.demand
+        (Solution.cardinal e.servers)
+        (if e.reconfigured then "yes" else "-")
+        e.step_cost)
+    summary.Timeline.entries;
   Printf.printf
     "\nlazy policy: %d reconfigurations, total bill %.2f, %d invalid epochs\n"
-    summary.Update_policy.reconfigurations summary.Update_policy.total_cost
-    summary.Update_policy.invalid_epochs;
-  let systematic = Update_policy.simulate ~w ~cost Update_policy.Systematic epochs in
+    summary.Timeline.reconfigurations summary.Timeline.total_cost
+    summary.Timeline.invalid_epochs;
+  let systematic = simulate Update_policy.Systematic epochs in
   Printf.printf "systematic would bill %.2f over the same day (%.0f%% more)\n"
-    systematic.Update_policy.total_cost
+    systematic.Timeline.total_cost
     (100.
-    *. ((systematic.Update_policy.total_cost /. summary.Update_policy.total_cost)
-       -. 1.));
+    *. ((systematic.Timeline.total_cost /. summary.Timeline.total_cost) -. 1.));
   print_endline
     "\nThe placement breathes with the diurnal cycle and spikes with the\n\
      flash crowd — every reconfiguration is the exact minimum-cost update\n\

@@ -6,10 +6,11 @@
     resource usage) and {e systematic} updates (reconfigure every
     time-step — optimal usage, maximal update cost), and observes that
     "the rates and amplitudes of the variations of the number of
-    requests" should drive the update interval. This module runs those
-    policies — plus a fixed-period and a demand-drift trigger — over a
-    demand sequence, using the §3 optimal single-step reconfiguration
-    ({!Dp_withpre}) as the building block the paper provides. *)
+    requests" should drive the update interval. This module defines
+    those triggers — plus a fixed-period and a demand-drift trigger.
+    {!Replica_engine.Engine} runs them over a demand sequence, re-solving
+    with the §3 optimal single-step reconfiguration ({!Dp_withpre}) the
+    paper provides as the building block. *)
 
 type policy =
   | Systematic  (** reconfigure every epoch *)
@@ -21,23 +22,10 @@ type policy =
           since the last reconfiguration, and whenever the placement
           breaks *)
 
-type step_record = {
-  epoch : int;  (** 1-based *)
-  reconfigured : bool;
-  servers : Solution.t;  (** placement in force after this epoch *)
-  step_cost : float;  (** Eq. 2 reconfiguration cost paid (0 if kept) *)
-  valid : bool;  (** placement serves every client within capacity *)
-  unserved : int;
-      (** this epoch's shortfall when invalid: requests escaping past the
-          root plus per-server load beyond capacity *)
-}
-
-type summary = {
-  records : step_record list;
-  total_cost : float;
-  reconfigurations : int;
-  invalid_epochs : int;
-}
+val validate : policy -> unit
+(** Check a policy's parameter once, before any epoch runs.
+    @raise Invalid_argument on a non-positive period or negative
+    drift. *)
 
 val should_reconfigure :
   policy ->
@@ -46,22 +34,9 @@ val should_reconfigure :
   demand:int ->
   last_demand:int ->
   bool
-(** The bare trigger decision behind {!simulate}, exposed so other
-    runtimes (notably {!Replica_engine.Engine}) fire exactly the same
-    policies: [epoch] is 1-based, [servers_valid] is whether the
-    current placement still serves this epoch within capacity, and
-    [last_demand] is the total demand at the last reconfiguration.
-    @raise Invalid_argument on a non-positive period or negative
-    drift. *)
-
-val simulate :
-  w:int -> cost:Cost.basic -> policy -> Tree.t list -> summary
-(** [simulate ~w ~cost policy demands] runs the policy over the epochs.
-    Each element of [demands] is the same network with that epoch's
-    client load; on reconfiguration the previous placement becomes the
-    pre-existing set of an optimal {!Dp_withpre} solve. An epoch whose
-    demand is unserveable even by a fresh optimal placement is recorded
-    with [valid = false] and its unserved request count.
-    @raise Invalid_argument on a non-positive period or negative drift. *)
+(** The trigger decision for one epoch: [epoch] is 1-based,
+    [servers_valid] is whether the current placement still serves this
+    epoch within capacity, and [last_demand] is the total demand at the
+    last reconfiguration. The policy must have passed {!validate}. *)
 
 val policy_to_string : policy -> string

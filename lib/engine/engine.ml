@@ -90,6 +90,7 @@ let create cfg =
   | Min_power { modes; _ } when Modes.max_capacity modes <> cfg.w ->
       invalid_arg "Engine: w must equal the mode ladder's maximal capacity"
   | _ -> ());
+  Update_policy.validate cfg.policy;
   let entry_solver = resolve_solver cfg in
   (* Labeled registry instruments, interned by (name, labels): two
      engines with the same solver and policy share series, and the
@@ -148,17 +149,13 @@ let memo_hit_pct counters =
   in
   if total = 0 then None else Some (100 * hits / total)
 
-(* Operating mode of every server under this epoch's demand — the
+(* Operating mode of every server under its load this epoch — the
    initial modes of the next epoch's pre-existing set. *)
-let modes_in_force cfg tree solution =
-  let ev = Solution.evaluate tree solution in
+let modes_of_loads cfg loads =
   match cfg.objective with
-  | Min_servers | Min_cost _ ->
-      List.map (fun (j, _) -> (j, 1)) ev.Solution.loads
+  | Min_servers | Min_cost _ -> List.map (fun (j, _) -> (j, 1)) loads
   | Min_power { modes; _ } ->
-      List.map
-        (fun (j, load) -> (j, Modes.mode_of_load modes load))
-        ev.Solution.loads
+      List.map (fun (j, load) -> (j, Modes.mode_of_load modes load)) loads
 
 (* A coordinator (the forest's coupling repair) may adjust this epoch's
    placement after [step] returns; recording it here makes the adjusted
@@ -166,13 +163,20 @@ let modes_in_force cfg tree solution =
    epoch's solve starts from, exactly as if [step] had chosen it. *)
 let override_placement t tree solution =
   t.placement <- solution;
-  t.placement_modes <- modes_in_force t.cfg tree solution
+  t.placement_modes <-
+    modes_of_loads t.cfg (Solution.evaluate tree solution).Solution.loads
 
-let shortfall tree ~w servers =
-  let ev = Solution.evaluate tree servers in
+(* An invalid epoch's shortfall (requests escaping past the root plus
+   per-server load beyond capacity) and overloaded-server count, read
+   off its violations. *)
+let shortfall ~w violations =
   List.fold_left
-    (fun acc (_, load) -> acc + max 0 (load - w))
-    ev.Solution.unserved ev.Solution.loads
+    (fun (unserved, overloaded) -> function
+      | Solution.Overloaded (_, load) -> (unserved + load - w, overloaded + 1)
+      | Solution.Unserved u -> (unserved + u, overloaded)
+      | Solution.Qos_violated _ | Solution.Link_overloaded _ ->
+          (unserved, overloaded))
+    (0, 0) violations
 
 let solve_once t tree =
   let with_pre = Tree.with_pre_existing tree t.placement_modes in
@@ -241,7 +245,8 @@ let step t demand_tree =
         ]
       ();
   if tracing then Span.begin_span "engine.policy";
-  let servers_valid = Solution.is_valid demand_tree ~w:t.cfg.w t.placement in
+  let held = Solution.validate demand_tree ~w:t.cfg.w t.placement in
+  let servers_valid = Result.is_ok held in
   let reconfigure =
     Update_policy.should_reconfigure t.cfg.policy ~epoch ~servers_valid
       ~demand ~last_demand:t.last_demand
@@ -277,43 +282,44 @@ let step t demand_tree =
   Metrics.incr t.m_epochs;
   let solve_seconds = float_of_int solve_ns *. 1e-9 in
   if tracing then Span.begin_span "engine.apply";
-  let reconfigured, step_cost =
+  (* A held placement was validated by the policy check, a new one is
+     validated here; its loads give the modes and the power. *)
+  let reconfigured, step_cost, checked =
     match solved with
     | Some (solution, cost) ->
+        let checked = Solution.validate demand_tree ~w:t.cfg.w solution in
+        let loads =
+          match checked with
+          | Ok ev -> ev.Solution.loads
+          | Error _ -> (Solution.evaluate demand_tree solution).Solution.loads
+        in
         t.placement <- solution;
-        t.placement_modes <- modes_in_force t.cfg demand_tree solution;
+        t.placement_modes <- modes_of_loads t.cfg loads;
         t.last_demand <- demand;
         t.staleness <- 0;
-        (true, cost)
+        (true, cost, checked)
     | None ->
         (* Either the policy kept the placement, or the epoch is
            unserveable even by a fresh optimal solve: hold position. *)
         t.staleness <- t.staleness + 1;
-        (false, 0.)
+        (false, 0., held)
   in
   Metrics.set t.m_staleness (float_of_int t.staleness);
-  let valid, unserved, overloaded =
-    match Solution.validate demand_tree ~w:t.cfg.w t.placement with
-    | Ok _ -> (true, 0, 0)
+  let valid, unserved, overloaded, power =
+    match checked with
+    | Ok ev ->
+        let power (modes, p) =
+          Power.total p modes (List.map snd ev.Solution.loads)
+        in
+        ( true,
+          0,
+          0,
+          match t.cfg.objective with
+          | Min_power { modes; power = p; _ } -> Some (power (modes, p))
+          | Min_servers | Min_cost _ -> Option.map power t.cfg.report_power )
     | Error violations ->
-        ( false,
-          shortfall demand_tree ~w:t.cfg.w t.placement,
-          List.length
-            (List.filter
-               (function Solution.Overloaded _ -> true | _ -> false)
-               violations) )
-  in
-  let power =
-    if not valid then None
-    else
-      match t.cfg.objective with
-      | Min_power { modes; power; _ } ->
-          Some (Solution.power demand_tree modes power t.placement)
-      | Min_servers | Min_cost _ -> (
-          match t.cfg.report_power with
-          | Some (modes, power) ->
-              Some (Solution.power demand_tree modes power t.placement)
-          | None -> None)
+        let unserved, overloaded = shortfall ~w:t.cfg.w violations in
+        (false, unserved, overloaded, None)
   in
   if tracing then
     Span.end_span ~args:[ ("reconfigured", Span.Bool reconfigured) ] ();

@@ -3,9 +3,10 @@
 
     The paper's §6 frames dynamic replica management as a sequence of
     steady-state epochs punctuated by reconfigurations, and
-    {!Replica_core.Update_policy} runs that trade-off as a batch
-    experiment. This module is the runtime the reproduction was
-    missing: a stateful engine that consumes epoch demand trees (or a
+    {!Replica_core.Update_policy} defines the triggers of that
+    trade-off. This module is the one loop that runs them, for the
+    batch ablations and the online runtime alike: a stateful engine
+    that consumes epoch demand trees (or a
     raw {!Replica_trace.Trace} aggregated through
     {!Replica_trace.Epochs}), maintains the live placement and its
     per-server loads, fires the configured {!Update_policy.policy}
@@ -84,9 +85,11 @@ type t
 val create : config -> t
 (** Fresh engine with an empty placement.
     @raise Invalid_argument if [w <= 0], a [Min_power] ladder's maximal
-    capacity differs from [w], [algo] names no registered solver, or
-    the named solver's capability rejects the objective (wrong
-    objective family, or a finite bound it cannot honour). *)
+    capacity differs from [w], the policy has a non-positive period or
+    a negative drift ({!Update_policy.validate}), [algo] names no
+    registered solver, or the named solver's capability rejects the
+    objective (wrong objective family, or a finite bound it cannot
+    honour). *)
 
 val step : t -> Tree.t -> Timeline.entry
 (** Serve one epoch: diff the demand against the previous epoch, fire

@@ -125,25 +125,26 @@ let entry_to_json e =
         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) e.counters) );
     ]
 
-let to_json ?(config = []) ?timeseries t =
-  Json.envelope ~kind:"engine_timeline" ~config
+let run_envelope ~kind ?(config = []) ?timeseries ~summary epochs =
+  Json.envelope ~kind ~config
     ([
        ( "summary",
-         Json.Obj
-           [
-             ("epochs", Json.Int (List.length t.entries));
-             ("total_cost", Json.Float t.total_cost);
-             ("reconfigurations", Json.Int t.reconfigurations);
-             ("invalid_epochs", Json.Int t.invalid_epochs);
-             ("solve_seconds", Json.Float t.solve_seconds);
-             ("solve_latency", latency_to_json t.solve_latency);
-           ] );
-       ("epochs", Json.List (List.map entry_to_json t.entries));
+         Json.Obj (("epochs", Json.Int (List.length epochs)) :: summary) );
+       ("epochs", Json.List epochs);
      ]
     @
     match timeseries with
     | None -> []
     | Some ts -> [ ("timeseries", Replica_obs.Timeseries.to_json ts) ])
 
-let to_json_string ?config ?timeseries t =
-  Json.to_string ~pretty:true (to_json ?config ?timeseries t)
+let to_json ?config ?timeseries t =
+  run_envelope ~kind:"engine_timeline" ?config ?timeseries
+    ~summary:
+      [
+        ("total_cost", Json.Float t.total_cost);
+        ("reconfigurations", Json.Int t.reconfigurations);
+        ("invalid_epochs", Json.Int t.invalid_epochs);
+        ("solve_seconds", Json.Float t.solve_seconds);
+        ("solve_latency", latency_to_json t.solve_latency);
+      ]
+    (List.map entry_to_json t.entries)

@@ -11,7 +11,7 @@
     to this epoch's solve).
 
     The same timeline backs three surfaces: the human-oriented
-    {!print} used by [replica_cli trace] and [replica_cli engine], the
+    {!print} used by [replica_cli engine], the
     {!to_json} artifact (standard {!Replica_obs.Json.envelope}, so
     [BENCH_engine.json] shares the envelope of every other bench
     artifact), and the test suite's differential assertions. *)
@@ -83,19 +83,24 @@ val print : ?times:bool -> out_channel -> t -> unit
     deterministic for a fixed run — what the cram tests and examples
     pin. *)
 
+val run_envelope :
+  kind:string ->
+  ?config:(string * Replica_obs.Json.t) list ->
+  ?timeseries:Replica_obs.Timeseries.t ->
+  summary:(string * Replica_obs.Json.t) list ->
+  Replica_obs.Json.t list ->
+  Replica_obs.Json.t
+(** [run_envelope ~kind ~summary epochs] is the {!Replica_obs.Json.envelope}
+    every epoch timeline exports: a ["summary"] object (the epoch count,
+    then [summary]), the per-epoch objects under ["epochs"], and with
+    [timeseries] (a recorder the driver sampled once per epoch) a
+    ["timeseries"] field of per-epoch metric points. [config] records
+    the run configuration. Shared by the engine and the forest
+    timelines. *)
+
 val to_json :
   ?config:(string * Replica_obs.Json.t) list ->
   ?timeseries:Replica_obs.Timeseries.t ->
   t ->
   Replica_obs.Json.t
-(** The timeline as a {!Replica_obs.Json.envelope} of kind ["engine_timeline"];
-    [config] records the run configuration. [timeseries] (a recorder
-    the driver sampled once per epoch) adds a ["timeseries"] field of
-    per-epoch metric points. *)
-
-val to_json_string :
-  ?config:(string * Replica_obs.Json.t) list ->
-  ?timeseries:Replica_obs.Timeseries.t ->
-  t ->
-  string
-(** Pretty-printed {!to_json}. *)
+(** The timeline as a {!run_envelope} of kind ["engine_timeline"]. *)

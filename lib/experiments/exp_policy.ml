@@ -1,3 +1,6 @@
+module Engine = Replica_engine.Engine
+module Timeline = Replica_engine.Timeline
+
 type config = {
   shape : Workload.shape;
   trees : int;
@@ -79,6 +82,14 @@ let demand_sequence ?intensity rng config =
   in
   go base config.epochs []
 
+(* Memo-less re-solves: drifting demand moves most subtrees every epoch,
+   so an incremental memo would mostly miss and only add its upkeep. *)
+let simulate config policy demands =
+  Engine.run
+    (Engine.config ~policy ~solver:Engine.Full ~w:Workload.capacity
+       (Engine.Min_cost config.cost))
+    demands
+
 let run ?domains config =
   let master = Rng.create config.seed in
   let sequences =
@@ -90,27 +101,21 @@ let run ?domains config =
       (* Each sequence's simulation is independent; fan the per-tree DP
          solves out over domains (results are positional, so identical
          at any domain count). *)
-      let summaries =
-        Par.map ?domains
-          (fun demands ->
-            Update_policy.simulate ~w:Workload.capacity ~cost:config.cost
-              policy demands)
-          sequences
-      in
+      let timelines = Par.map ?domains (simulate config policy) sequences in
       {
         policy;
         avg_total_cost =
-          Stats.mean (List.map (fun s -> s.Update_policy.total_cost) summaries);
+          Stats.mean (List.map (fun s -> s.Timeline.total_cost) timelines);
         avg_reconfigurations =
           Stats.mean
             (List.map
-               (fun s -> float_of_int s.Update_policy.reconfigurations)
-               summaries);
+               (fun s -> float_of_int s.Timeline.reconfigurations)
+               timelines);
         avg_invalid_epochs =
           Stats.mean
             (List.map
-               (fun s -> float_of_int s.Update_policy.invalid_epochs)
-               summaries);
+               (fun s -> float_of_int s.Timeline.invalid_epochs)
+               timelines);
       })
     config.policies
 
@@ -149,27 +154,21 @@ let run_drift_sweep config intensities =
         List.init config.trees (fun _ ->
             demand_sequence ~intensity (Rng.split master) config)
       in
-      let simulate policy =
-        List.map
-          (fun demands ->
-            Update_policy.simulate ~w:Workload.capacity ~cost:config.cost
-              policy demands)
-          sequences
-      in
+      let simulate policy = List.map (simulate config policy) sequences in
       let lazy_runs = simulate Update_policy.Lazy in
       let sys_runs = simulate Update_policy.Systematic in
       let lazy_cost =
-        Stats.mean (List.map (fun s -> s.Update_policy.total_cost) lazy_runs)
+        Stats.mean (List.map (fun s -> s.Timeline.total_cost) lazy_runs)
       in
       let systematic_cost =
-        Stats.mean (List.map (fun s -> s.Update_policy.total_cost) sys_runs)
+        Stats.mean (List.map (fun s -> s.Timeline.total_cost) sys_runs)
       in
       {
         intensity;
         lazy_reconfigurations =
           Stats.mean
             (List.map
-               (fun s -> float_of_int s.Update_policy.reconfigurations)
+               (fun s -> float_of_int s.Timeline.reconfigurations)
                lazy_runs);
         lazy_cost;
         systematic_cost;

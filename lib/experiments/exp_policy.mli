@@ -31,6 +31,13 @@ type row = {
   avg_invalid_epochs : float;
 }
 
+val demand_sequence : ?intensity:float -> Rng.t -> config -> Tree.t list
+(** The [config.epochs] demand trees the ablation runs: one random tree
+    of [config.shape] and [config.nodes] whose clients then drift epoch
+    by epoch (±1 request, departures, arrivals, at rates scaled by
+    [intensity], default 1), each node's demand kept within
+    {!Workload.capacity}. *)
+
 val run : ?domains:int -> config -> row list
 (** One row per policy, averaged over the trees; every policy sees the
     same demand sequences. Per-tree simulations fan out over [domains]

@@ -1,3 +1,6 @@
+module Engine = Replica_engine.Engine
+module Timeline = Replica_engine.Timeline
+
 type config = {
   shape : Workload.shape;
   trees : int;
@@ -33,9 +36,9 @@ let fine_resolution = 0.5
 
 (* Fraction of fine sub-windows whose true demand overflows the placement
    that the policy had in force at that time. *)
-let staleness tree trace ~window summary =
+let staleness tree trace ~window timeline =
   let fine = Replica_trace.Epochs.epochs trace tree ~window:fine_resolution in
-  let records = Array.of_list summary.Update_policy.records in
+  let records = Array.of_list timeline.Timeline.entries in
   let violations = ref 0 and total = ref 0 in
   List.iteri
     (fun k fine_tree ->
@@ -44,7 +47,7 @@ let staleness tree trace ~window summary =
       in
       if coarse < Array.length records then begin
         incr total;
-        let placement = records.(coarse).Update_policy.servers in
+        let placement = records.(coarse).Timeline.servers in
         if
           not
             (Solution.is_valid fine_tree ~w:Workload.capacity placement)
@@ -54,6 +57,10 @@ let staleness tree trace ~window summary =
   if !total = 0 then 0. else float_of_int !violations /. float_of_int !total
 
 let run config windows =
+  let engine =
+    Engine.config ~policy:Update_policy.Lazy ~solver:Engine.Full
+      ~w:Workload.capacity (Engine.Min_cost config.cost)
+  in
   let master = Rng.create config.seed in
   (* Draw trees and traces once; each window re-aggregates them. *)
   let instances =
@@ -75,11 +82,10 @@ let run config windows =
         List.map
           (fun (tree, trace) ->
             let epochs = Replica_trace.Epochs.epochs trace tree ~window in
-            let summary =
-              Update_policy.simulate ~w:Workload.capacity ~cost:config.cost
-                Update_policy.Lazy epochs
-            in
-            (List.length epochs, summary, staleness tree trace ~window summary))
+            let timeline = Engine.run engine epochs in
+            ( List.length epochs,
+              timeline,
+              staleness tree trace ~window timeline ))
           instances
       in
       {
@@ -89,20 +95,20 @@ let run config windows =
         reconfigurations =
           Stats.mean
             (List.map
-               (fun (_, s, _) -> float_of_int s.Update_policy.reconfigurations)
+               (fun (_, s, _) -> float_of_int s.Timeline.reconfigurations)
                summaries);
         total_cost =
           Stats.mean
-            (List.map (fun (_, s, _) -> s.Update_policy.total_cost) summaries);
+            (List.map (fun (_, s, _) -> s.Timeline.total_cost) summaries);
         cost_per_time =
           Stats.mean
             (List.map
-               (fun (_, s, _) -> s.Update_policy.total_cost /. config.horizon)
+               (fun (_, s, _) -> s.Timeline.total_cost /. config.horizon)
                summaries);
         invalid_epochs =
           Stats.mean
             (List.map
-               (fun (_, s, _) -> float_of_int s.Update_policy.invalid_epochs)
+               (fun (_, s, _) -> float_of_int s.Timeline.invalid_epochs)
                summaries);
         stale_fraction =
           Stats.mean (List.map (fun (_, _, f) -> f) summaries);

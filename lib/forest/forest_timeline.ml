@@ -97,26 +97,15 @@ let entry_to_json (e : entry) =
         Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) e.counters) );
     ]
 
-let to_json ?(config = []) ?timeseries t =
-  Json.envelope ~kind:"forest_timeline" ~config
-    ([
-       ( "summary",
-         Json.Obj
-           [
-             ("epochs", Json.Int (List.length t.entries));
-             ("total_cost", Json.Float t.total_cost);
-             ("reconfigurations", Json.Int t.reconfigurations);
-             ("invalid_epochs", Json.Int t.invalid_epochs);
-             ("repair_added", Json.Int t.repair_added);
-             ("epoch_seconds", Json.Float t.epoch_seconds);
-             ("solve_latency", Timeline.latency_to_json t.solve_latency);
-           ] );
-       ("epochs", Json.List (List.map entry_to_json t.entries));
-     ]
-    @
-    match timeseries with
-    | None -> []
-    | Some ts -> [ ("timeseries", Replica_obs.Timeseries.to_json ts) ])
-
-let to_json_string ?config ?timeseries t =
-  Json.to_string ~pretty:true (to_json ?config ?timeseries t)
+let to_json ?config ?timeseries t =
+  Timeline.run_envelope ~kind:"forest_timeline" ?config ?timeseries
+    ~summary:
+      [
+        ("total_cost", Json.Float t.total_cost);
+        ("reconfigurations", Json.Int t.reconfigurations);
+        ("invalid_epochs", Json.Int t.invalid_epochs);
+        ("repair_added", Json.Int t.repair_added);
+        ("epoch_seconds", Json.Float t.epoch_seconds);
+        ("solve_latency", Timeline.latency_to_json t.solve_latency);
+      ]
+    (List.map entry_to_json t.entries)

@@ -64,11 +64,6 @@ val to_json :
   ?timeseries:Replica_obs.Timeseries.t ->
   t ->
   Replica_obs.Json.t
-(** Envelope kind ["forest_timeline"]. [timeseries] adds the per-epoch
-    metric points recorded by the driver. *)
-
-val to_json_string :
-  ?config:(string * Replica_obs.Json.t) list ->
-  ?timeseries:Replica_obs.Timeseries.t ->
-  t ->
-  string
+(** A {!Replica_engine.Timeline.run_envelope} of kind ["forest_timeline"].
+    [timeseries] adds the per-epoch metric points recorded by the
+    driver. *)

@@ -221,7 +221,10 @@ let test_timeline_json_shape () =
       (Engine.Min_cost (Cost.basic ~create:0.5 ~delete:0.25 ()))
   in
   let t = Engine.run cfg [ tree; tree ] in
-  let s = Timeline.to_json_string ~config:[ ("seed", Json.Int 9) ] t in
+  let s =
+    Json.to_string ~pretty:true
+      (Timeline.to_json ~config:[ ("seed", Json.Int 9) ] t)
+  in
   List.iter
     (fun needle ->
       check cb (Printf.sprintf "json mentions %s" needle) true (contains s needle))
@@ -232,6 +235,83 @@ let test_timeline_json_shape () =
       "\"summary\"";
       "\"epochs\"";
       "\"reconfigured\"";
+    ]
+
+(* --- invalid epochs: shortfall read off the violations --- *)
+
+(* A registry entry that places whatever [preset] holds, or fails the
+   solve when it holds nothing, so a test can put an invalid placement
+   in force. *)
+let preset = ref None
+
+let preset_solver =
+  lazy
+    (Solver.register
+       {
+         Solver.name = "preset-placement";
+         summary = "places a preset set of servers (test fixture)";
+         capability =
+           Solver.capability ~handles_cost:true ~handles_pre:true
+             ~handles_qos:true ~handles_bw:true ();
+         solve =
+           (fun _ _ -> Option.map (Solver.outcome ~objective_value:0.) !preset);
+         make_memo = None;
+         memo_size = None;
+       })
+
+(* The evaluate-based shortfall: requests escaping past the root plus
+   per-server load beyond capacity. *)
+let evaluated_shortfall tree ~w servers =
+  let ev = Solution.evaluate tree servers in
+  List.fold_left
+    (fun acc (_, load) -> acc + max 0 (load - w))
+    ev.Solution.unserved ev.Solution.loads
+
+(* Each kind of invalid placement, once as the epoch's new placement and
+   once held because the next solve fails: unserved and overloaded agree
+   with an evaluation of the placement. *)
+let test_invalid_epoch_shortfall () =
+  Lazy.force preset_solver;
+  let w = 10 in
+  let leaves l1 l2 =
+    Tree.build
+      (Tree.node [ Tree.node ~clients:[ l1 ] []; Tree.node ~clients:[ l2 ] [] ])
+  in
+  List.iter
+    (fun (kind, demand, nodes, shortfall, overloaded) ->
+      let servers = Solution.of_nodes nodes in
+      let engine =
+        Engine.create
+          (Engine.config ~policy:Update_policy.Systematic
+             ~algo:"preset-placement" ~w
+             (Engine.Min_cost (Cost.basic ())))
+      in
+      preset := Some servers;
+      let placed = Engine.step engine demand in
+      preset := None;
+      let held = Engine.step engine demand in
+      List.iter
+        (fun (path, (e : Timeline.entry)) ->
+          let label = Printf.sprintf "%s, %s placement: " kind path in
+          check solution_testable (label ^ "servers") servers
+            e.Timeline.servers;
+          check cb (label ^ "invalid") false e.Timeline.valid;
+          check ci (label ^ "shortfall") shortfall e.Timeline.unserved;
+          check ci (label ^ "evaluated shortfall")
+            (evaluated_shortfall demand ~w servers)
+            e.Timeline.unserved;
+          check ci (label ^ "overloaded") overloaded e.Timeline.overloaded)
+        [ ("new", placed); ("held", held) ];
+      check cb (kind ^ ": held epoch kept the placement") false
+        held.Timeline.reconfigured)
+    [
+      ("overloaded", leaves 6 7, [ 0 ], 3, 1);
+      ("unserved requests", leaves 6 7, [ 2 ], 6, 0);
+      ( "qos violation only",
+        Tree.with_qos (leaves 6 3) (fun _ _ -> 0),
+        [ 0 ],
+        0,
+        0 );
     ]
 
 let () =
@@ -253,5 +333,7 @@ let () =
           Alcotest.test_case "power memo reuse" `Quick
             test_incremental_power_memo_reuse;
           Alcotest.test_case "timeline json" `Quick test_timeline_json_shape;
+          Alcotest.test_case "invalid epoch shortfall" `Quick
+            test_invalid_epoch_shortfall;
         ] );
     ]

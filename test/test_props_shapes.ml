@@ -3,6 +3,7 @@
 
 open Replica_tree
 open Replica_core
+open Replica_engine
 open Helpers
 
 let gen_small_ints = QCheck2.Gen.(pair (int_range 1 8) (int_range 1 10))
@@ -163,14 +164,13 @@ let prop_update_policy_lazy_subset =
       in
       let w = 8 in
       let cost = Cost.basic ~create:0.3 ~delete:0.1 () in
-      let lazy_sum = Update_policy.simulate ~w ~cost Update_policy.Lazy demands in
-      let sys_sum =
-        Update_policy.simulate ~w ~cost Update_policy.Systematic demands
+      let run policy =
+        Engine.run (Engine.config ~policy ~w (Engine.Min_cost cost)) demands
       in
-      lazy_sum.Update_policy.reconfigurations
-      <= sys_sum.Update_policy.reconfigurations
-      && lazy_sum.Update_policy.invalid_epochs
-         = sys_sum.Update_policy.invalid_epochs)
+      let lazy_sum = run Update_policy.Lazy in
+      let sys_sum = run Update_policy.Systematic in
+      lazy_sum.Timeline.reconfigurations <= sys_sum.Timeline.reconfigurations
+      && lazy_sum.Timeline.invalid_epochs = sys_sum.Timeline.invalid_epochs)
 
 let () =
   Alcotest.run "properties_shapes"
