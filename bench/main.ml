@@ -754,12 +754,11 @@ let run_obs () =
            (Workload.profile Workload.Fat ~nodes ~max_requests:5))
         pre
     in
-    (* Earlier sections share the global histogram and metrics
-       registries; reset both so the published histogram rows count only
-       this section's solves and the timeseries-sampler cost reflects
-       this section's intended registry size (the forest section alone
-       leaves thousands of per-shard series behind). *)
-    Obs.Histogram.reset_all ();
+    (* Earlier sections share the global metrics registry; reset it so
+       the published histogram rows count only this section's solves
+       and the timeseries-sampler cost reflects this section's intended
+       registry size (the forest section alone leaves thousands of
+       per-shard series behind). *)
     Obs.Metrics.reset ();
     let time_solve () =
       let t0 = Obs.Clock.now_ns () in
@@ -974,26 +973,29 @@ let run_obs () =
     if sample_pct > 3. then
       failwith "obs: timeseries sampling above the 3% budget";
     let module J = Replica_obs.Json in
+    let module M = Obs.Metrics in
     let histograms =
       J.Obj
         (List.filter_map
-           (fun (name, h) ->
+           (fun (s : M.sample) ->
+             match s.M.s_value with
              (* _ns histograms hold wall-clock latencies; publishing them
                 would break the artifact's count-metric determinism. *)
-             if String.ends_with ~suffix:"_ns" name then None
-             else
-               let s = Obs.Histogram.summary h in
-               Some
-                 ( name,
-                   J.Obj
-                     [
-                       ("count", J.Int s.Obs.Histogram.s_count);
-                       ("sum", J.Int s.Obs.Histogram.s_sum);
-                       ("p50", J.Int s.Obs.Histogram.p50);
-                       ("p90", J.Int s.Obs.Histogram.p90);
-                       ("p99", J.Int s.Obs.Histogram.p99);
-                     ] ))
-           (Obs.Histogram.snapshots ()))
+             | M.Sample_histogram h
+               when s.M.s_labels = []
+                    && not (String.ends_with ~suffix:"_ns" s.M.s_name) ->
+                 Some
+                   ( s.M.s_name,
+                     J.Obj
+                       [
+                         ("count", J.Int h.M.hs_count);
+                         ("sum", J.Int h.M.hs_sum);
+                         ("p50", J.Int h.M.hs_p50);
+                         ("p90", J.Int h.M.hs_p90);
+                         ("p99", J.Int h.M.hs_p99);
+                       ] )
+             | _ -> None)
+           (M.samples ()))
     in
     let json =
       J.envelope ~kind:"obs"

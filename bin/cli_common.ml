@@ -25,13 +25,22 @@ let warn fmt =
 
 (* --- shared arguments --- *)
 
+(* A size flag is checked where it is defined: zero or less is a usage
+   error on the shared path, not an [Invalid_argument] from deep inside
+   a generator or an all-zero table. *)
+let positive ~zero flag arg =
+  Term.(
+    const (fun v -> if v > zero then v else die "%s must be positive" flag)
+    $ arg)
+
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
 let nodes_arg default =
-  Arg.(
-    value & opt int default
-    & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of internal nodes.")
+  positive ~zero:0 "--nodes"
+    Arg.(
+      value & opt int default
+      & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of internal nodes.")
 
 let shape_arg =
   let shape_conv =
@@ -48,9 +57,11 @@ let pre_arg default =
     & info [ "pre" ] ~docv:"E" ~doc:"Number of pre-existing servers.")
 
 let trees_arg default =
-  Arg.(
-    value & opt int default
-    & info [ "trees" ] ~docv:"T" ~doc:"Number of random trees to average over.")
+  positive ~zero:0 "--trees"
+    Arg.(
+      value & opt int default
+      & info [ "trees" ] ~docv:"T"
+          ~doc:"Number of random trees to average over.")
 
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -175,10 +186,9 @@ let write_string_file path s =
   output_string oc s;
   close_out oc
 
-(* The Metrics registry sees everything: labeled engine/forest
-   instruments, the Stats_counters collector, the Gc_stats heap
-   collector, the legacy histogram registry and the span drop
-   counter. *)
+(* The Metrics registry sees everything: the solvers' counters, timers
+   and histograms, the labeled engine/forest instruments, the Gc_stats
+   heap collector and the span drop counter. *)
 let write_metrics path =
   Replica_obs.Gc_stats.register ();
   write_string_file path (Replica_obs.Prometheus.expose ())
@@ -374,19 +384,22 @@ let run_epochs tele ~epoch ~latency step epochs =
 (* --- online run flags (engine, forest, top) --- *)
 
 let horizon_arg default =
-  Arg.(
-    value & opt float default
-    & info [ "horizon" ] ~docv:"T" ~doc:"Trace length in time units.")
+  positive ~zero:0. "--horizon"
+    Arg.(
+      value & opt float default
+      & info [ "horizon" ] ~docv:"T" ~doc:"Trace length in time units.")
 
 let window_arg =
-  Arg.(
-    value & opt float 1.
-    & info [ "window" ] ~docv:"T" ~doc:"Epoch aggregation window.")
+  positive ~zero:0. "--window"
+    Arg.(
+      value & opt float 1.
+      & info [ "window" ] ~docv:"T" ~doc:"Epoch aggregation window.")
 
 let w_arg =
-  Arg.(
-    value & opt int Workload.capacity
-    & info [ "w" ] ~docv:"W" ~doc:"Server capacity (maximal mode).")
+  positive ~zero:0 "-w"
+    Arg.(
+      value & opt int Workload.capacity
+      & info [ "w" ] ~docv:"W" ~doc:"Server capacity (maximal mode).")
 
 (* Enum tables give each name once: the flag parser and the --json
    config both read them. *)

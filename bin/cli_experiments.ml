@@ -190,11 +190,18 @@ let scaling_cmd =
              sparse workload) instead of the paper-scale mode ladder.")
   in
   let sizes_arg =
-    Arg.(
-      value
-      & opt (some (list int)) None
-      & info [ "sizes" ] ~docv:"N,N,..."
-          ~doc:"Tree sizes to sweep, overriding the preset's defaults.")
+    let check = function
+      | Some sizes when List.exists (fun n -> n <= 0) sizes ->
+          die "--sizes must be positive"
+      | sizes -> sizes
+    in
+    Term.(
+      const check
+      $ Arg.(
+          value
+          & opt (some (list int)) None
+          & info [ "sizes" ] ~docv:"N,N,..."
+              ~doc:"Tree sizes to sweep, overriding the preset's defaults."))
   in
   let run shape seed power large sizes =
     let measurements =

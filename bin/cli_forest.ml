@@ -11,10 +11,11 @@ open Cmdliner
 open Cli_common
 
 let trees_arg =
-  Arg.(
-    value & opt int 4
-    & info [ "trees" ] ~docv:"K"
-        ~doc:"Number of distinct tree topologies in the forest.")
+  positive ~zero:0 "--trees"
+    Arg.(
+      value & opt int 4
+      & info [ "trees" ] ~docv:"K"
+          ~doc:"Number of distinct tree topologies in the forest.")
 
 let objects_arg =
   Arg.(
@@ -53,7 +54,6 @@ let domains_arg =
 let cmd =
   let run shape nodes seed trees objects servers horizon window workload
       policy solver algo coupling domains w no_time tele =
-    if nodes <= 0 then die "--nodes must be positive";
     let servers = match servers with Some s -> s | None -> 2 * nodes in
     let profile = Workload.profile shape ~nodes ~max_requests:6 in
     let forest =

@@ -31,8 +31,9 @@ let cmd =
       & info [ "bound" ] ~docv:"COST" ~doc:"Cost bound for power solvers.")
   in
   let w_arg =
-    Arg.(
-      value & opt int 10 & info [ "w" ] ~docv:"W" ~doc:"Server capacity.")
+    positive ~zero:0 "-w"
+      Arg.(
+        value & opt int 10 & info [ "w" ] ~docv:"W" ~doc:"Server capacity.")
   in
   let stats_flag =
     Arg.(

@@ -1,16 +1,18 @@
 let max_nodes = 20
 
-let c_masks = Stats_counters.counter "brute.masks_scanned"
-let c_valid = Stats_counters.counter "brute.valid_placements"
-let c_qos_rejected = Stats_counters.counter "brute.qos_rejected"
-let c_bw_rejected = Stats_counters.counter "brute.bw_rejected"
-let t_scan = Stats_counters.timer "brute.scan"
+module Metrics = Replica_obs.Metrics
+
+let c_masks = Metrics.counter "brute.masks_scanned"
+let c_valid = Metrics.counter "brute.valid_placements"
+let c_qos_rejected = Metrics.counter "brute.qos_rejected"
+let c_bw_rejected = Metrics.counter "brute.bw_rejected"
+let t_scan = Metrics.timer "brute.scan"
 
 let fold_valid tree ~w ~init ~f =
   let n = Tree.size tree in
   if n > max_nodes then
     invalid_arg "Brute.fold_valid: tree too large for exhaustive search";
-  Stats_counters.time t_scan (fun () ->
+  Metrics.time t_scan (fun () ->
       let acc = ref init in
       let valid = ref 0 and qos_rej = ref 0 and bw_rej = ref 0 in
       for mask = 0 to (1 lsl n) - 1 do
@@ -32,10 +34,10 @@ let fold_valid tree ~w ~init ~f =
                 vs
             then incr bw_rej
       done;
-      Stats_counters.add c_masks (1 lsl n);
-      Stats_counters.add c_valid !valid;
-      Stats_counters.add c_qos_rejected !qos_rej;
-      Stats_counters.add c_bw_rejected !bw_rej;
+      Metrics.add c_masks (1 lsl n);
+      Metrics.add c_valid !valid;
+      Metrics.add c_qos_rejected !qos_rej;
+      Metrics.add c_bw_rejected !bw_rej;
       !acc)
 
 let argmin tree ~w ~value =

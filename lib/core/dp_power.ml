@@ -14,21 +14,23 @@ type result = {
    attempted, every pair rejected by the capacity check and every cell
    dropped by dominance pruning is accounted here, plus a high-water
    mark for table size and per-phase wall time. Counters accumulate
-   until [Stats_counters.reset]; totals are identical at any [domains]
+   until [Metrics.reset]; totals are identical at any [domains]
    value (atomic adds commute, and the set of tables built does not
    depend on the fan-out) and identical between the packed and wide
    representations (same set semantics, same product enumeration —
    bench-diff pins them Exact). *)
-let c_cells = Stats_counters.counter "dp_power.cells_created"
-let c_products = Stats_counters.counter "dp_power.merge_products"
-let c_capacity = Stats_counters.counter "dp_power.capacity_rejected"
-let c_pruned = Stats_counters.counter "dp_power.dominance_pruned"
-let c_peak = Stats_counters.counter "dp_power.peak_table_size"
-let t_tables = Stats_counters.timer "dp_power.tables"
-let t_enumerate = Stats_counters.timer "dp_power.enumerate"
-let c_memo_hits = Stats_counters.counter "dp_power.memo_hits"
-let c_memo_partial = Stats_counters.counter "dp_power.memo_partial"
-let c_memo_misses = Stats_counters.counter "dp_power.memo_misses"
+module Metrics = Replica_obs.Metrics
+
+let c_cells = Metrics.counter "dp_power.cells_created"
+let c_products = Metrics.counter "dp_power.merge_products"
+let c_capacity = Metrics.counter "dp_power.capacity_rejected"
+let c_pruned = Metrics.counter "dp_power.dominance_pruned"
+let c_peak = Metrics.counter "dp_power.peak_table_size"
+let t_tables = Metrics.timer "dp_power.tables"
+let t_enumerate = Metrics.timer "dp_power.enumerate"
+let c_memo_hits = Metrics.counter "dp_power.memo_hits"
+let c_memo_partial = Metrics.counter "dp_power.memo_partial"
+let c_memo_misses = Metrics.counter "dp_power.memo_misses"
 
 (* Structured observability (replicaml.obs): per-node spans nest the
    child-merge and prune phases under each node's solve, and the
@@ -40,8 +42,7 @@ let c_memo_misses = Stats_counters.counter "dp_power.memo_misses"
    on. *)
 module Span = Replica_obs.Span
 
-let h_products =
-  Replica_obs.Histogram.create "dp_power.merge_products_per_node"
+let h_products = Metrics.histogram "dp_power.merge_products_per_node"
 
 (* Cell key layout: [| n_1; ...; n_M; e_11; ...; e_MM; flow |] — the
    exact per-mode server counts AND the number of requests traversing
@@ -187,7 +188,7 @@ let pprune lay ~best ~out tbl =
     let result =
       if dropped = 0 then tbl
       else begin
-        Stats_counters.add c_pruned dropped;
+        Metrics.add c_pruned dropped;
         Int_table.clear out;
         for i = 0 to Int_table.length best - 1 do
           let key = Int_table.val_at best i in
@@ -374,7 +375,7 @@ let pextend pc tree ~modes ext sub c =
       pc.n_created <- pc.n_created + 1
     end
   done;
-  Stats_counters.add c_cells pc.n_created
+  Metrics.add c_cells pc.n_created
 
 (* The convolution kernel: [left] x [ext] into [into] (cleared here).
    Packed keys of disjoint subtrees add field-wise — the flow sum is
@@ -413,11 +414,11 @@ let pconvolve pc ~modes ~into left ext =
     done;
     pc.n_products <- pc.n_products + rlen
   done;
-  Stats_counters.add c_products pc.n_products;
-  Stats_counters.add c_capacity pc.n_rejected;
-  Stats_counters.add c_cells pc.n_created;
-  Stats_counters.record_max c_peak (Int_table.length into);
-  Replica_obs.Histogram.observe h_products pc.n_products;
+  Metrics.add c_products pc.n_products;
+  Metrics.add c_capacity pc.n_rejected;
+  Metrics.add c_cells pc.n_created;
+  Metrics.record_max c_peak (Int_table.length into);
+  Metrics.observe h_products pc.n_products;
   if tracing then
     Span.end_span
       ~args:
@@ -438,7 +439,7 @@ let pstart ~modes tbl tree j =
   if client <= Modes.max_capacity modes then begin
     let r = Int_table.reserve tbl client in
     Int_table.set_val tbl r Arena.empty;
-    Stats_counters.incr c_cells
+    Metrics.incr c_cells
   end
 
 (* Prune the slot buffer [tbl]: the survivors land in [p_tmp], which
@@ -554,7 +555,7 @@ and pnode pc tree ~modes ~prune ~domains ~depth j =
             | None -> longest (i - 1)
         in
         let first, left = longest k in
-        if first > 0 && first < k then Stats_counters.incr c_memo_partial;
+        if first > 0 && first < k then Metrics.incr c_memo_partial;
         if spanned tree j then
           Span.add_arg "memo"
             (Span.Str
@@ -584,7 +585,7 @@ and pext pc tree ~modes ~prune ~domains ~depth s c =
       match Hashtbl.find_opt mm.ext_cache (c, fps.(c)) with
       | Some e ->
           e.stamp <- mm.gen;
-          Stats_counters.incr c_memo_hits;
+          Metrics.incr c_memo_hits;
           if Span.enabled () then begin
             (* The zero-length span keeps the skipped subtree visible
                in the trace. *)
@@ -593,7 +594,7 @@ and pext pc tree ~modes ~prune ~domains ~depth s c =
           end;
           e.table
       | None ->
-          Stats_counters.incr c_memo_misses;
+          Metrics.incr c_memo_misses;
           let ext = pbuild_ext pc tree ~modes ~prune ~domains ~depth s c in
           Hashtbl.replace mm.ext_cache (c, fps.(c))
             { stamp = mm.gen; table = Int_table.copy ext };
@@ -632,7 +633,7 @@ let wprune ~sm tbl =
   let dropped = Tbl.length tbl - Tbl.length best in
   if dropped = 0 then tbl
   else begin
-    Stats_counters.add c_pruned dropped;
+    Metrics.add c_pruned dropped;
     let out = Tbl.create (Tbl.length best) in
     Tbl.iter (fun _ key -> Tbl.replace out key (Tbl.find tbl key)) best;
     out
@@ -644,7 +645,7 @@ let wtable arena tree ~modes ~prune =
   let insert tbl key placed =
     if not (Tbl.mem tbl key) then begin
       Tbl.replace tbl key (placed ());
-      Stats_counters.incr c_cells
+      Metrics.incr c_cells
     end
   in
   let prune tbl = if prune && Tbl.length tbl > 1 then wprune ~sm tbl else tbl in
@@ -687,10 +688,10 @@ let wtable arena tree ~modes ~prune =
             else incr rejected)
           ext)
       left;
-    Stats_counters.add c_products products;
-    Stats_counters.add c_capacity !rejected;
-    Stats_counters.record_max c_peak (Tbl.length merged);
-    Replica_obs.Histogram.observe h_products products;
+    Metrics.add c_products products;
+    Metrics.add c_capacity !rejected;
+    Metrics.record_max c_peak (Tbl.length merged);
+    Metrics.observe h_products products;
     prune merged
   in
   node (Tree.root tree)
@@ -718,7 +719,7 @@ let root_table ?memo tree ~modes ~prune ~domains lay =
   if tracing then Span.begin_span "dp_power.tables";
   let sm = state_size (Modes.count modes) in
   let cells, read, arena =
-    Stats_counters.time t_tables (fun () ->
+    Metrics.time t_tables (fun () ->
         match lay with
         | Some lay ->
             let pc = make_pctx ?memo lay in
@@ -784,7 +785,7 @@ let enumerate ~modes root consider =
   if tracing then Span.begin_span "dp_power.enumerate";
   let sm = state_size (Modes.count modes) in
   let v = Array.make (sm + 1) 0 and n = ref 0 in
-  Stats_counters.time t_enumerate (fun () ->
+  Metrics.time t_enumerate (fun () ->
       for i = 0 to root.cells - 1 do
         ignore (root.read i v);
         let flow = v.(sm) in

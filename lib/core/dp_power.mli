@@ -40,12 +40,13 @@
 
     {2 Observability, pruning, parallelism}
 
-    Every phase is instrumented through {!Stats_counters} under the
-    [dp_power.*] namespace: [cells_created], [merge_products] (cartesian
-    pairs attempted), [capacity_rejected], [dominance_pruned],
-    [peak_table_size] (high-water mark, recorded before pruning), and
-    the [tables] / [enumerate] wall-clock timers. Counter totals are
-    deterministic for a fixed workload at any [domains] value.
+    Every phase is instrumented on the {!Replica_obs.Metrics} registry
+    under the [dp_power.*] namespace: [cells_created],
+    [merge_products] (cartesian pairs attempted), [capacity_rejected],
+    [dominance_pruned], [peak_table_size] (high-water mark, recorded
+    before pruning), and the [tables] / [enumerate] wall-clock timers.
+    Counter totals are deterministic for a fixed workload at any
+    [domains] value.
 
     {e Dominance pruning} keeps, among coexisting cells with identical
     count entries, only the flow-minimal one. By the mirror argument

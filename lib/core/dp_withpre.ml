@@ -3,17 +3,19 @@ let src =
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let c_cells = Stats_counters.counter "dp_withpre.cells_created"
-let c_products = Stats_counters.counter "dp_withpre.merge_products"
-let c_capacity = Stats_counters.counter "dp_withpre.capacity_rejected"
-let c_qos = Stats_counters.counter "dp_withpre.qos_rejected"
-let c_bw = Stats_counters.counter "dp_withpre.bw_rejected"
-let c_peak = Stats_counters.counter "dp_withpre.peak_table_size"
-let c_pruned = Stats_counters.counter "dp_withpre.dominance_pruned"
-let t_tables = Stats_counters.timer "dp_withpre.tables"
-let c_memo_hits = Stats_counters.counter "dp_withpre.memo_hits"
-let c_memo_partial = Stats_counters.counter "dp_withpre.memo_partial"
-let c_memo_misses = Stats_counters.counter "dp_withpre.memo_misses"
+module Metrics = Replica_obs.Metrics
+
+let c_cells = Metrics.counter "dp_withpre.cells_created"
+let c_products = Metrics.counter "dp_withpre.merge_products"
+let c_capacity = Metrics.counter "dp_withpre.capacity_rejected"
+let c_qos = Metrics.counter "dp_withpre.qos_rejected"
+let c_bw = Metrics.counter "dp_withpre.bw_rejected"
+let c_peak = Metrics.counter "dp_withpre.peak_table_size"
+let c_pruned = Metrics.counter "dp_withpre.dominance_pruned"
+let t_tables = Metrics.timer "dp_withpre.tables"
+let c_memo_hits = Metrics.counter "dp_withpre.memo_hits"
+let c_memo_partial = Metrics.counter "dp_withpre.memo_partial"
+let c_memo_misses = Metrics.counter "dp_withpre.memo_misses"
 
 (* Structured observability: per-node solve and child-merge spans (with
    memo hit/partial/miss tags) plus a log2 histogram of per-node merge
@@ -21,8 +23,7 @@ let c_memo_misses = Stats_counters.counter "dp_withpre.memo_misses"
    path is one atomic load, no allocation. *)
 module Span = Replica_obs.Span
 
-let h_products =
-  Replica_obs.Histogram.create "dp_withpre.merge_products_per_node"
+let h_products = Metrics.histogram "dp_withpre.merge_products_per_node"
 
 (* Slack classes. Under the closest policy the clients whose requests
    still flow at a node share one server on the path to the root, so a
@@ -352,8 +353,8 @@ let compact ctx ~into ~pre_cap ~new_cap ~staged =
   into.pre_cap <- pre_cap;
   into.new_cap <- new_cap;
   into.len <- !k;
-  Stats_counters.add c_cells staged;
-  Stats_counters.add c_pruned (staged - !k)
+  Metrics.add c_cells staged;
+  Metrics.add c_pruned (staged - !k)
 
 (* The largest word of a flow of at most [flow]. No flow exceeds the
    total demand, which stays below [max_int asr (cbits + 1)] (checked
@@ -417,8 +418,8 @@ let extend ctx tree ~into sub c =
         Arena.snoc ctx.arena placed ~node:c ~flow:(v lsr cbits)
     end
   done;
-  if !bw_rejected > 0 then Stats_counters.add c_bw !bw_rejected;
-  if !qos_rejected > 0 then Stats_counters.add c_qos !qos_rejected;
+  if !bw_rejected > 0 then Metrics.add c_bw !bw_rejected;
+  if !qos_rejected > 0 then Metrics.add c_qos !qos_rejected;
   compact ctx ~into ~pre_cap:(sub.pre_cap + de) ~new_cap ~staged:!staged
 
 (* The convolution kernel: merge [left] and [ext] into [into] (which may
@@ -461,11 +462,11 @@ let convolve ctx ~into left ext =
       else incr rejected
     done
   done;
-  Stats_counters.add c_products products;
-  Stats_counters.add c_capacity !rejected;
-  Replica_obs.Histogram.observe h_products products;
+  Metrics.add c_products products;
+  Metrics.add c_capacity !rejected;
+  Metrics.observe h_products products;
   compact ctx ~into ~pre_cap ~new_cap ~staged:!staged;
-  Stats_counters.record_max c_peak into.len
+  Metrics.record_max c_peak into.len
 
 (* Per-node spans only for subtrees of at least this many nodes. The
    flat tables made small-subtree merges so cheap that a span per node
@@ -542,9 +543,9 @@ and node_table ctx tree ~w ~depth j =
                  (if !best = k then "hit"
                   else if !best > 0 then "partial"
                   else "miss"));
-          if !best = k then Stats_counters.incr c_memo_hits
+          if !best = k then Metrics.incr c_memo_hits
           else begin
-            Stats_counters.incr
+            Metrics.incr
               (if !best > 0 then c_memo_partial else c_memo_misses);
             for i = !best + 1 to k do
               merge ctx tree ~w ~depth s !acc arr.(i - 1);
@@ -664,7 +665,7 @@ let solve ?memo:m tree ~w ~cost =
   let tracing = Span.enabled () in
   if tracing then Span.begin_span "dp_withpre.solve";
   let ctx, table =
-    Stats_counters.time t_tables (fun () ->
+    Metrics.time t_tables (fun () ->
         root_staircase tree ~w ~classes memo)
   in
   let pre_total = Tree.num_pre_existing tree in

@@ -60,7 +60,7 @@
     scratch reused across solves (grids above 2{^22} slots live for one
     solve only), so a warm memo-less solve allocates only its result.
 
-    Counters ({!Stats_counters}) measure the staircase work:
+    Counters ({!Replica_obs.Metrics}) measure the staircase work:
     [dp_withpre.merge_products] (pairs of surviving cells convolved),
     [dp_withpre.cells_created] (grid slots written for the first time
     while staging), [dp_withpre.capacity_rejected] (products whose flow

@@ -8,7 +8,7 @@
     table is a pure function of its subtree; the reduction over child
     tables stays sequential and ordered). Outputs are collected
     positionally, randomness is fixed before the fan-out, and
-    {!Stats_counters} cells are atomic — so results and counter totals
+    {!Replica_obs.Metrics} cells are atomic — so results and counter totals
     are bit-identical at any domain count. The timing-oriented
     harnesses ([Scaling], [Exp_heuristics], [Exp_update]) stay
     sequential because they measure CPU time.

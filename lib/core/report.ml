@@ -63,26 +63,37 @@ let cost_report tree ~w cost solution =
   Buffer.contents buf
 
 let histograms_report ~timers () =
-  let module H = Replica_obs.Histogram in
-  (* Wall-clock histograms (the [_ns] convention) are nondeterministic;
-     keep the default report pinnable by cram tests. *)
-  let wanted (name, _) =
+  let module M = Replica_obs.Metrics in
+  (* The unlabeled histograms (the solvers' per-node ones). Wall-clock
+     histograms (the [_ns] convention) are nondeterministic; keep the
+     default report pinnable by cram tests. *)
+  let wanted name =
     timers || not (String.length name > 3 && Filename.check_suffix name "_ns")
   in
-  match List.filter wanted (H.snapshots ()) with
+  let hists =
+    List.filter_map
+      (fun s ->
+        match s.M.s_value with
+        | M.Sample_histogram h when s.M.s_labels = [] && wanted s.M.s_name ->
+            Some (s.M.s_name, h)
+        | _ -> None)
+      (M.samples ())
+  in
+  match hists with
   | [] -> ""
-  | snaps ->
+  | _ ->
       let buf = Buffer.create 256 in
       let width =
-        List.fold_left (fun acc (name, _) -> max acc (String.length name)) 0 snaps
+        List.fold_left
+          (fun acc (name, _) -> max acc (String.length name))
+          0 hists
       in
       List.iter
         (fun (name, h) ->
-          let s = H.summary h in
           Buffer.add_string buf
             (Printf.sprintf "%-*s count %d  p50 %d  p90 %d  p99 %d\n" width
-               name s.H.s_count s.H.p50 s.H.p90 s.H.p99))
-        snaps;
+               name h.M.hs_count h.M.hs_p50 h.M.hs_p90 h.M.hs_p99))
+        hists;
       Buffer.contents buf
 
 let stats_report ?(timers = false) () =

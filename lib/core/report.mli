@@ -16,10 +16,10 @@ val power_report :
     power totals. The solution must fit within the maximal capacity. *)
 
 val stats_report : ?timers:bool -> unit -> string
-(** The {!Stats_counters} registry as a report section — what the CLI's
-    [--stats] flag prints after a solve — followed by a
-    [count/p50/p90/p99] summary line per non-empty
-    {!Replica_obs.Histogram} (e.g. merge products per node). Counters
+(** The solver counters ({!Stats_counters}) as a report section — what
+    the CLI's [--stats] flag prints after a solve — followed by a
+    [count/p50/p90/p99] summary line per non-empty unlabeled
+    {!Replica_obs.Metrics} histogram (e.g. merge products per node). Counters
     and size-distribution histograms are deterministic for a fixed
     workload, safe in cram tests; pass [~timers:true] to additionally
     include wall-clock phase timings and latency ([_ns]-suffixed)

@@ -143,15 +143,17 @@ let step t views =
     (fun o sol ->
       Metrics.set t.m_shard_servers.(o) (float_of_int (Solution.cardinal sol)))
     final;
+  (* Closed before the forest's own unlabeled counters move, so they
+     stay out of the epoch's solver counters. *)
+  let counters =
+    Stats_counters.diff counters_before (Stats_counters.snapshot ())
+  in
   Metrics.add t.m_pushdowns repair_stats.Repair.pushdowns;
   Metrics.add t.m_repair_added repair_stats.Repair.added;
   Metrics.add t.m_overloads coupling_overloads;
   let server_loads = Forest.server_loads t.forest ~trees:demands final in
   Metrics.set t.m_max_load (float_of_int (Array.fold_left max 0 server_loads));
   let epoch_seconds = float_of_int (Clock.now_ns () - t0) *. 1e-9 in
-  let counters =
-    Stats_counters.diff counters_before (Stats_counters.snapshot ())
-  in
   let solve_latency = Timeline.latency_of_histogram t.lat_h in
   {
     Forest_timeline.epoch = t.epoch;

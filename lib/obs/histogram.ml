@@ -31,27 +31,13 @@ let midpoint i =
     and hi = float_of_int ((1 lsl i) - 1) in
     int_of_float (Float.round (sqrt (lo *. hi)))
 
-let fresh name =
+let make name =
   {
     h_name = name;
     counts = Array.init bins (fun _ -> Atomic.make 0);
     h_sum = Atomic.make 0;
   }
 
-let lock = Mutex.create ()
-let registered : (string, t) Hashtbl.t = Hashtbl.create 16
-
-let create name =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () ->
-      match Hashtbl.find_opt registered name with
-      | Some h -> h
-      | None ->
-          let h = fresh name in
-          Hashtbl.replace registered name h;
-          h)
-
-let make name = fresh name
 let name h = h.h_name
 
 let observe h v =
@@ -128,20 +114,6 @@ let buckets h =
         (upper_bound i, !acc))
   end
 
-let snapshots () =
-  Mutex.lock lock;
-  let all =
-    Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () ->
-        Hashtbl.fold (fun name h acc -> (name, h) :: acc) registered [])
-  in
-  List.filter (fun (_, h) -> count h > 0) all
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
 let reset h =
   Array.iter (fun c -> Atomic.set c 0) h.counts;
   Atomic.set h.h_sum 0
-
-let reset_all () =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) (fun () ->
-      Hashtbl.iter (fun _ h -> reset h) registered)

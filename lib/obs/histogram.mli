@@ -10,9 +10,9 @@
 
     {b Domain safety.} Every bin and the running sum are [Atomic.t];
     {!observe} is two atomic adds, no lock, no allocation, always on
-    (like {!Replica_core.Stats_counters} — gating applies to tracing,
-    not metrics). Totals are deterministic for a fixed workload at any
-    domain count because addition commutes.
+    (gating applies to tracing, not metrics). Totals are deterministic
+    for a fixed workload at any domain count because addition
+    commutes.
 
     {b Quantiles.} [quantile h q] returns the {e geometric midpoint}
     ([round (sqrt (lo * hi))]) of the bin containing the
@@ -22,22 +22,17 @@
     monotone in [q] by construction ([p50 <= p90 <= p99] always
     holds).
 
-    Like counters, histograms are process-global and interned by name;
-    harnesses attributing numbers to one run call {!reset_all} first.
-    {!make} builds an unregistered instance for per-run ownership (the
-    engine keeps one per instance so concurrent engines in experiment
-    sweeps don't mix their timelines' percentiles). *)
+    A histogram is a value, not a registry entry: registered, named
+    histograms are {!Metrics.histogram} instruments, which wrap one of
+    these. The engine and the forest each own one per instance for
+    their timeline's latency quantiles, so concurrent engines in
+    experiment sweeps don't mix their timelines' percentiles. *)
 
 type t
 
-val create : string -> t
-(** Registered and interned by name (the {!Replica_core.Stats_counters}
-    convention: dotted [subsystem.metric] names, registration at module
-    initialization). *)
-
 val make : string -> t
-(** An unregistered instance: same API, not visible to {!snapshots} /
-    {!reset_all}. *)
+(** A fresh, empty histogram named by a dotted [subsystem.metric]
+    name. *)
 
 val name : t -> string
 
@@ -64,9 +59,4 @@ val buckets : t -> (int * int) list
     (cumulative, sorted by bound). Empty list for an empty
     histogram. *)
 
-val snapshots : unit -> (string * t) list
-(** Every registered histogram with at least one observation, sorted
-    by name. *)
-
 val reset : t -> unit
-val reset_all : unit -> unit

@@ -4,8 +4,9 @@ type t =
   | C of int Atomic.t
   | G of float Atomic.t
   | H of Histogram.t
+  | T of int Atomic.t  (* accumulated nanoseconds *)
 
-type kind = Counter | Gauge | Histo
+type kind = Counter | Gauge | Histo | Timer
 
 type hist_snapshot = {
   hs_buckets : (int * int) list;
@@ -23,19 +24,29 @@ type value =
 
 type sample = { s_name : string; s_labels : labels; s_value : value }
 
-(* Families are keyed by metric name; each holds one instrument per
-   distinct label set. Registration (rare: engine/forest creation,
-   module initializers) is mutex-protected; the hot path only ever
-   touches the Atomic cells inside the instrument, never the
-   registry. *)
+(* Families are keyed by the name they emit (a timer [x] emits
+   [x_seconds]) and kept in that order; each holds one instrument per
+   distinct label set, in label order. Both orders are kept by sorted
+   insertion at registration, so the scrape path never sorts.
+   Registration (rare: engine/forest creation, module initializers) is
+   mutex-protected; the hot path only ever touches the Atomic cells
+   inside the instrument, never the registry. *)
 type family = {
+  fam_name : string;
   fam_kind : kind;
   mutable instruments : (labels * t) list;
 }
 
 let lock = Mutex.create ()
-let families : (string, family) Hashtbl.t = Hashtbl.create 32
+let families : family list ref = ref []
 let collectors : (string * (unit -> sample list)) list ref = ref []
+
+(* The unlabeled counters and timers under their registered names, in
+   name order: immutable lists republished at registration, so the
+   solver views and the per-epoch counter snapshots read them with no
+   lock and no sort. *)
+let plain_counters : (string * int Atomic.t) list Atomic.t = Atomic.make []
+let plain_timers : (string * int Atomic.t) list Atomic.t = Atomic.make []
 
 let with_lock f =
   Mutex.lock lock;
@@ -57,73 +68,123 @@ let rec compare_labels la lb =
       | 0 -> ( match String.compare va vb with 0 -> compare_labels ra rb | c -> c)
       | c -> c)
 
+let rec insert_sorted cmp x = function
+  | [] -> [ x ]
+  | hd :: tl when cmp hd x < 0 -> hd :: insert_sorted cmp x tl
+  | rest -> x :: rest
+
+let by_name (a, _) (b, _) = String.compare a b
+
 let kind_name = function
   | Counter -> "counter"
   | Gauge -> "gauge"
   | Histo -> "histogram"
+  | Timer -> "timer"
 
 let fresh kind name =
   match kind with
   | Counter -> C (Atomic.make 0)
   | Gauge -> G (Atomic.make 0.)
   | Histo -> H (Histogram.make name)
+  | Timer -> T (Atomic.make 0)
 
 let intern kind ?(labels = []) name =
   let labels = canonical labels in
+  let emitted = match kind with Timer -> name ^ "_seconds" | _ -> name in
   with_lock (fun () ->
       let fam =
-        match Hashtbl.find_opt families name with
+        match
+          List.find_opt (fun f -> String.equal f.fam_name emitted) !families
+        with
         | Some f ->
             if f.fam_kind <> kind then
               invalid_arg
-                (Printf.sprintf "Metrics: %s already registered as a %s" name
-                   (kind_name f.fam_kind));
+                (Printf.sprintf "Metrics: %s already registered as a %s"
+                   emitted (kind_name f.fam_kind));
             f
         | None ->
-            let f = { fam_kind = kind; instruments = [] } in
-            Hashtbl.replace families name f;
+            let f = { fam_name = emitted; fam_kind = kind; instruments = [] } in
+            families :=
+              insert_sorted
+                (fun a b -> String.compare a.fam_name b.fam_name)
+                f !families;
             f
       in
       match List.assoc_opt labels fam.instruments with
       | Some i -> i
       | None ->
           let i = fresh kind name in
-          (* Sorted insertion keeps the scrape path sort-free: a
-             family's instruments always enumerate in label order. *)
-          let rec insert = function
-            | [] -> [ (labels, i) ]
-            | ((l, _) as hd) :: tl when compare_labels l labels < 0 ->
-                hd :: insert tl
-            | rest -> (labels, i) :: rest
+          fam.instruments <-
+            insert_sorted
+              (fun (a, _) (b, _) -> compare_labels a b)
+              (labels, i) fam.instruments;
+          let publish view cell =
+            Atomic.set view
+              (insert_sorted by_name (name, cell) (Atomic.get view))
           in
-          fam.instruments <- insert fam.instruments;
+          (match (labels, i) with
+          | [], C c -> publish plain_counters c
+          | [], T ns -> publish plain_timers ns
+          | _ -> ());
           i)
 
 let counter ?labels name = intern Counter ?labels name
 let gauge ?labels name = intern Gauge ?labels name
 let histogram ?labels name = intern Histo ?labels name
+let timer ?labels name = intern Timer ?labels name
 
 let add m n =
   match m with
   | C c -> ignore (Atomic.fetch_and_add c n)
-  | G _ | H _ -> invalid_arg "Metrics.add: not a counter"
+  | G _ | H _ | T _ -> invalid_arg "Metrics.add: not a counter"
 
 let incr m = add m 1
+
+(* Top-level recursion, not a local [let rec]: the retry loop runs in
+   the packed DP's zero-alloc merge path, where a per-call closure
+   would show up in the allocation gate. *)
+let rec raise_to c v =
+  let cur = Atomic.get c in
+  if v > cur && not (Atomic.compare_and_set c cur v) then raise_to c v
+
+let record_max m v =
+  match m with
+  | C c -> raise_to c v
+  | G _ | H _ | T _ -> invalid_arg "Metrics.record_max: not a counter"
 
 let set m v =
   match m with
   | G g -> Atomic.set g v
-  | C _ | H _ -> invalid_arg "Metrics.set: not a gauge"
+  | C _ | H _ | T _ -> invalid_arg "Metrics.set: not a gauge"
 
 let observe m v =
   match m with
   | H h -> Histogram.observe h v
-  | C _ | G _ -> invalid_arg "Metrics.observe: not a histogram"
+  | C _ | G _ | T _ -> invalid_arg "Metrics.observe: not a histogram"
+
+let time m f =
+  match m with
+  | T ns ->
+      let t0 = Clock.now_ns () in
+      Fun.protect
+        ~finally:(fun () ->
+          ignore (Atomic.fetch_and_add ns (Clock.now_ns () - t0)))
+        f
+  | C _ | G _ | H _ -> invalid_arg "Metrics.time: not a timer"
+
+let seconds ns = float_of_int (Atomic.get ns) /. 1e9
 
 let value = function
   | C c -> float_of_int (Atomic.get c)
   | G g -> Atomic.get g
+  | T ns -> seconds ns
   | H _ -> invalid_arg "Metrics.value: histogram (use samples)"
+
+let read view get =
+  List.map (fun (name, cell) -> (name, get cell)) (Atomic.get view)
+
+let counters () = read plain_counters Atomic.get
+let timers () = read plain_timers seconds
 
 let hist_snapshot h =
   let s = Histogram.summary h in
@@ -141,44 +202,33 @@ let register_collector ~name f =
       collectors := List.filter (fun (n, _) -> n <> name) !collectors;
       collectors := !collectors @ [ (name, f) ])
 
-(* Built-in bridges: the legacy name-interned histogram registry
-   (dp_withpre.merge_products_per_node and friends observe through it
-   directly) and the span buffers' drop counter, so a scrape can tell a
+(* Built in: the span buffers' drop counter, so a scrape can tell a
    truncated trace from a quiet one. *)
 let builtin_samples () =
-  List.map
-    (fun (name, h) ->
-      { s_name = name; s_labels = []; s_value = Sample_histogram (hist_snapshot h) })
-    (Histogram.snapshots ())
-  @ [
-      {
-        s_name = "obs.spans_dropped";
-        s_labels = [];
-        s_value = Sample_counter (float_of_int (Span.dropped ()));
-      };
-    ]
+  [
+    {
+      s_name = "obs.spans_dropped";
+      s_labels = [];
+      s_value = Sample_counter (float_of_int (Span.dropped ()));
+    };
+  ]
 
-(* Emitted fully sorted: family names are few (sorting them is cheap)
-   and each family's instruments were inserted in label order, so the
-   scrape path never sorts the full sample list. *)
 let direct_samples () =
   with_lock (fun () ->
-      let names = Hashtbl.fold (fun name _ acc -> name :: acc) families [] in
-      let names = List.sort String.compare names in
       List.concat_map
-        (fun name ->
-          let fam = Hashtbl.find families name in
+        (fun fam ->
           List.map
             (fun (labels, inst) ->
               let v =
                 match inst with
                 | C c -> Sample_counter (float_of_int (Atomic.get c))
                 | G g -> Sample_gauge (Atomic.get g)
+                | T ns -> Sample_gauge (seconds ns)
                 | H h -> Sample_histogram (hist_snapshot h)
               in
-              { s_name = name; s_labels = labels; s_value = v })
+              { s_name = fam.fam_name; s_labels = labels; s_value = v })
             fam.instruments)
-        names)
+        !families)
 
 let collector_samples () =
   let fs = with_lock (fun () -> !collectors) in
@@ -212,16 +262,16 @@ let samples () =
 
 let reset () =
   with_lock (fun () ->
-      Hashtbl.iter
-        (fun _ fam ->
+      List.iter
+        (fun fam ->
           List.iter
             (fun (_, inst) ->
               match inst with
-              | C c -> Atomic.set c 0
+              | C c | T c -> Atomic.set c 0
               | G g -> Atomic.set g 0.
               | H h -> Histogram.reset h)
             fam.instruments)
-        families)
+        !families)
 
 let labels_to_string labels =
   match labels with

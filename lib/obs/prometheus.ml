@@ -9,38 +9,6 @@ let metric_name raw =
     raw;
   Buffer.contents buf
 
-let render ?(counters = []) ?(timers_seconds = []) ?(histograms = []) () =
-  let buf = Buffer.create 1024 in
-  let sort l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-  List.iter
-    (fun (name, v) ->
-      let n = metric_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n%s %d\n" n n v))
-    (sort counters);
-  List.iter
-    (fun (name, s) ->
-      let n = metric_name (name ^ "_seconds") in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n%s %.9f\n" n n s))
-    (sort timers_seconds);
-  List.iter
-    (fun (name, h) ->
-      let n = metric_name name in
-      Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" n);
-      List.iter
-        (fun (le, cumulative) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s_bucket{le=\"%d\"} %d\n" n le cumulative))
-        (Histogram.buckets h);
-      Buffer.add_string buf
-        (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" n (Histogram.count h));
-      Buffer.add_string buf (Printf.sprintf "%s_sum %d\n" n (Histogram.sum h));
-      Buffer.add_string buf
-        (Printf.sprintf "%s_count %d\n" n (Histogram.count h)))
-    (sort histograms);
-  Buffer.contents buf
-
-(* --- registry-driven exposition --- *)
-
 (* Label keys get the same character sanitation as metric names but no
    namespace prefix. *)
 let label_name raw =
@@ -99,10 +67,9 @@ let scalar_line ?timestamp name labels v =
       Buffer.add_string buf (string_of_int ts));
   Buffer.contents buf
 
-(* Renders the full {!Metrics} registry — direct instruments,
-   collectors (Stats_counters), the legacy histogram registry — as one
-   text exposition. Samples arrive sorted by (name, labels), so each
-   family is consecutive and gets exactly one TYPE line. *)
+(* Renders the full {!Metrics} registry — instruments and collectors —
+   as one text exposition. Samples arrive sorted by (name, labels), so
+   each family is consecutive and gets exactly one TYPE line. *)
 let expose () =
   let buf = Buffer.create 4096 in
   let last_family = ref "" in

@@ -1,14 +1,11 @@
-(** Prometheus text exposition (version 0.0.4) of the metrics
-    registries.
+(** Prometheus text exposition (version 0.0.4) of the {!Metrics}
+    registry.
 
     Renders counters, accumulated timers and log2 histograms as a
     scrape-able snapshot: dotted registry names ([dp_power.cells])
     become [replicaml_dp_power_cells], counters expose as [counter],
-    timers as [gauge] seconds, histograms as cumulative
-    [_bucket{le="..."}] / [_sum] / [_count] families. Callers pass the
-    data in (this module does not reach into
-    [Replica_core.Stats_counters] — the dependency points the other
-    way), so any registry can be exposed.
+    timers as a [NAME_seconds] [gauge], histograms as cumulative
+    [_bucket{le="..."}] / [_sum] / [_count] families.
 
     {!validate} checks the exposition grammar line by line (comment
     lines, metric-name syntax, optional label set, float value,
@@ -20,24 +17,13 @@ val metric_name : string -> string
     prefixed, and every character outside [[a-zA-Z0-9_:]] mapped to
     [_]. *)
 
-val render :
-  ?counters:(string * int) list ->
-  ?timers_seconds:(string * float) list ->
-  ?histograms:(string * Histogram.t) list ->
-  unit ->
-  string
-(** A complete exposition snapshot, families sorted by metric name
-    within each section (counters, then timers, then histograms).
-    Label-less legacy shape; callers owning their data. The registry
-    path is {!expose}. *)
-
 val expose : unit -> string
-(** Render the whole {!Metrics} registry — labeled instruments,
-    collectors (so [Replica_core.Stats_counters] counters and timers
-    appear), the legacy histogram registry and the span drop counter —
-    as one exposition. Label sets ([solver="dp-withpre"], [shard="3"])
-    render inline; histogram families may carry several label sets,
-    each with its own bucket/sum/count series. *)
+(** Render the whole {!Metrics} registry — every instrument (the
+    solvers' counters, timers and per-node histograms among them),
+    the collectors and the span drop counter — as one exposition.
+    Label sets ([solver="dp-withpre"], [shard="3"]) render inline;
+    histogram families may carry several label sets, each with its own
+    bucket/sum/count series. *)
 
 val label_name : string -> string
 (** Character sanitation for label keys: outside [[a-zA-Z0-9_]] maps

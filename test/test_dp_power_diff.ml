@@ -21,8 +21,9 @@ let cost_cheap3 = Cost.paper_cheap ~modes:3
 let cost_mono2 = Cost.modal_uniform ~modes:2 ~create:0.3 ~delete:0.2 ~changed:0.
 let cost_mono3 = Cost.modal_uniform ~modes:3 ~create:0.3 ~delete:0.2 ~changed:0.
 
-let c_products = Stats_counters.counter "dp_power.merge_products"
-let c_dominance = Stats_counters.counter "dp_power.dominance_pruned"
+let c_products = Replica_obs.Metrics.counter "dp_power.merge_products"
+let c_dominance = Replica_obs.Metrics.counter "dp_power.dominance_pruned"
+let count c = int_of_float (Replica_obs.Metrics.value c)
 
 (* Random instances come from the shared [Helpers.instance] generator. *)
 
@@ -72,9 +73,9 @@ let check_against_brute ~tag t ~modes ~power ~cost ~bound =
    products. Counter deltas are measured around each run. *)
 let check_prune_invariance ~tag t ~modes ~power ~cost ~bound =
   let run prune =
-    let before = Stats_counters.value c_products in
+    let before = count c_products in
     let r = Dp_power.solve t ~modes ~power ~cost ~bound ~prune () in
-    (r, Stats_counters.value c_products - before)
+    (r, count c_products - before)
   in
   let unpruned, products_unpruned = run false in
   let pruned, products_pruned = run true in
@@ -240,12 +241,12 @@ let test_counters_show_pruning () =
          ])
   in
   let run prune =
-    let p0 = Stats_counters.value c_products in
-    let d0 = Stats_counters.value c_dominance in
+    let p0 = count c_products in
+    let d0 = count c_dominance in
     ignore
       (Dp_power.solve t ~modes:modes_2 ~power:power_exp3 ~cost:cost_cheap
          ~prune ());
-    (Stats_counters.value c_products - p0, Stats_counters.value c_dominance - d0)
+    (count c_products - p0, count c_dominance - d0)
   in
   let products_unpruned, dominance_unpruned = run false in
   let products_pruned, dominance_pruned = run true in

@@ -171,6 +171,46 @@ let test_decoupled_bit_identity () =
         (Engine.placement e) p1.(o))
     solo
 
+(* The epoch's [counters] are the solvers' registry movement. The
+   forest's own unlabeled counters (repair push-downs, added replicas,
+   overloads) live in the same registry and move after the shards
+   solve; the closing snapshot must precede them. *)
+let test_coupled_counters_exclude_forest () =
+  let forest =
+    F.generate
+      {
+        F.trees = 2;
+        objects = 6;
+        servers = 12;
+        profile =
+          Replica_experiments.Workload.profile Replica_experiments.Workload.Fat
+            ~nodes:10 ~max_requests:6;
+        seed = 1;
+      }
+  in
+  let ft =
+    FT.generate forest ~horizon:6. ~seed:2
+      (FT.Diurnal { period = 24.; floor = 0.25 })
+  in
+  let cfg =
+    Engine.config ~w:Replica_experiments.Workload.capacity
+      (Engine.Min_cost (Cost.basic ~create:0.5 ~delete:0.25 ()))
+  in
+  let e = FE.create forest { FE.engine = cfg; coupling = true; domains = 1 } in
+  let entries = List.map (FE.step e) (FT.epochs ft forest ~window:1.) in
+  check cb "the run repairs" true
+    (List.exists (fun (x : FTl.entry) -> x.FTl.repair_added > 0) entries);
+  check cb "the run solves" true
+    (List.exists (fun (x : FTl.entry) -> x.FTl.counters <> []) entries);
+  List.iter
+    (fun (x : FTl.entry) ->
+      List.iter
+        (fun (k, _) ->
+          if String.starts_with ~prefix:"forest." k then
+            Alcotest.failf "epoch %d counters carry %s" x.FTl.epoch k)
+        x.FTl.counters)
+    entries
+
 let test_merge_conservation () =
   let forest = small_forest () in
   List.iter
@@ -297,6 +337,8 @@ let () =
         [
           Alcotest.test_case "decoupled bit-identity" `Quick
             test_decoupled_bit_identity;
+          Alcotest.test_case "coupled counters exclude forest series" `Quick
+            test_coupled_counters_exclude_forest;
         ] );
       ( "trace",
         [

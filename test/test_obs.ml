@@ -1,11 +1,12 @@
 (* The observability substrate: histograms, span tracing, the JSON
-   parser and both exporters, plus the Stats_counters snapshot/diff and
-   monotonic-clock regressions. *)
+   parser, both exporters and the metric registry, plus the
+   Stats_counters snapshot/diff and monotonic-clock regressions. *)
 
 open Replica_core
 open Helpers
 module Obs = Replica_obs
 module H = Obs.Histogram
+module M = Obs.Metrics
 module Span = Obs.Span
 module Json = Obs.Json
 
@@ -59,16 +60,6 @@ let test_histogram_edges () =
   check ci "sum" 5 (H.sum h);
   H.reset h;
   check ci "reset clears" 0 (H.count h)
-
-let test_histogram_registry () =
-  let a = H.create "test_obs.registered" in
-  let b = H.create "test_obs.registered" in
-  H.observe a 7;
-  check ci "interned by name" (H.count a) (H.count b);
-  check cb "snapshots sees it"
-    true
-    (List.mem_assoc "test_obs.registered" (H.snapshots ()));
-  H.reset a
 
 (* --- Span tracing --- *)
 
@@ -249,15 +240,13 @@ let test_chrome_trace_deterministic_structure () =
 (* --- Prometheus exporter --- *)
 
 let test_prometheus_valid () =
-  let h = H.make "test_obs.latency_ns" in
-  List.iter (H.observe h) [ 10; 100; 1000; 10_000 ];
-  let out =
-    Obs.Prometheus.render
-      ~counters:[ ("dp.merge_products", 42); ("dp.cells", 7) ]
-      ~timers_seconds:[ ("dp.tables", 0.25) ]
-      ~histograms:[ ("test_obs.latency_ns", h) ]
-      ()
-  in
+  (* One instrument of each solver kind through the registry
+     exposition: a counter, a timer and a histogram. *)
+  M.add (M.counter "test_obs.prom.merge_products") 42;
+  M.time (M.timer "test_obs.prom.tables") ignore;
+  let h = M.histogram "test_obs.prom.latency_ns" in
+  List.iter (M.observe h) [ 10; 100; 1000; 10_000 ];
+  let out = Obs.Prometheus.expose () in
   match Obs.Prometheus.validate out with
   | Ok samples -> check cb "has samples" true (samples > 0)
   | Error e -> Alcotest.failf "exposition invalid: %s\n%s" e out
@@ -334,8 +323,6 @@ let test_prometheus_histogram_semantics () =
 
 (* --- Metrics registry --- *)
 
-module M = Obs.Metrics
-
 let find_sample name labels =
   List.find_opt
     (fun s -> s.M.s_name = name && s.M.s_labels = labels)
@@ -386,6 +373,47 @@ let test_metrics_collector_bridge () =
   M.register_collector ~name:"test_obs.m.bridge" (fun () -> []);
   check cb "replaced collector is gone" true
     (find_sample "test_obs.m.external" [ ("src", "bridge") ] = None)
+
+let test_metrics_unlabeled_view () =
+  ignore (M.counter "test_obs.view.b");
+  ignore (M.counter ~labels:[ ("k", "v") ] "test_obs.view.labeled");
+  ignore (M.gauge "test_obs.view.gauge");
+  ignore (M.timer "test_obs.view.timer");
+  (* Registered after [b], sorting before it. *)
+  ignore (M.counter "test_obs.view.a");
+  let names = List.map fst (M.counters ()) in
+  check (Alcotest.list Alcotest.string) "name order"
+    (List.sort String.compare names) names;
+  check (Alcotest.list Alcotest.string) "the unlabeled counters, only"
+    [ "test_obs.view.a"; "test_obs.view.b" ]
+    (List.filter (String.starts_with ~prefix:"test_obs.view.") names)
+
+let test_metrics_timer_sample () =
+  let t = M.timer "test_obs.timer_sample" in
+  M.time t ignore;
+  (match find_sample "test_obs.timer_sample_seconds" [] with
+  | Some { M.s_value = M.Sample_gauge v; _ } ->
+      check (Alcotest.float 0.) "the accumulated seconds" (M.value t) v
+  | _ -> Alcotest.fail "a timer samples as a NAME_seconds gauge");
+  check cb "not under its bare name" true
+    (find_sample "test_obs.timer_sample" [] = None);
+  check cb "the timers view keeps the bare name" true
+    (List.mem_assoc "test_obs.timer_sample" (M.timers ()));
+  match M.counter "test_obs.timer_sample_seconds" with
+  | _ -> Alcotest.fail "a timer claims the name it emits"
+  | exception Invalid_argument _ -> ()
+
+let prop_record_max_only_raises =
+  let c = M.counter "test_obs.record_max" in
+  qcheck_case "metrics: record_max only ever raises a counter"
+    QCheck2.Gen.(list_size (int_range 1 50) (int_range (-1000) 100_000))
+    (fun vs ->
+      List.for_all
+        (fun v ->
+          let before = M.value c in
+          M.record_max c v;
+          M.value c = Float.max before (float_of_int v))
+        vs)
 
 let test_prometheus_expose_labeled () =
   M.set (M.gauge ~labels:[ ("solver", "dp-test") ] "test_obs.m.load") 1.5;
@@ -607,10 +635,10 @@ let test_trend_needs_two_runs () =
 (* --- Stats_counters: snapshot/diff and the monotonic clock --- *)
 
 let test_snapshot_diff () =
-  let c = Stats_counters.counter "test_obs.diff_counter" in
+  let c = M.counter "test_obs.diff_counter" in
   let before = Stats_counters.snapshot () in
-  Stats_counters.add c 5;
-  Stats_counters.incr c;
+  M.add c 5;
+  M.incr c;
   let after = Stats_counters.snapshot () in
   let d = Stats_counters.diff before after in
   check ci "delta attributed" 6 (List.assoc "test_obs.diff_counter" d);
@@ -623,22 +651,49 @@ let test_snapshot_diff () =
 
 let test_diff_counts_new_counters_from_zero () =
   let before = Stats_counters.snapshot () in
-  let c = Stats_counters.counter "test_obs.registered_later" in
-  Stats_counters.add c 3;
+  let c = M.counter "test_obs.registered_later" in
+  M.add c 3;
   let d = Stats_counters.diff before (Stats_counters.snapshot ()) in
   check ci "absent in before counts from 0" 3
     (List.assoc "test_obs.registered_later" d)
+
+(* A frozen copy of the table-based diff the name-sorted merge
+   replaced: the oracle for the property below. *)
+let frozen_diff before after =
+  let base = Hashtbl.create 64 in
+  List.iter (fun (k, v) -> Hashtbl.replace base k v) before;
+  List.filter_map
+    (fun (k, v) ->
+      let d = v - Option.value ~default:0 (Hashtbl.find_opt base k) in
+      if d <> 0 then Some (k, d) else None)
+    after
+
+(* Two snapshots drawn from one small name pool, so names land on one
+   side only or on both, and small values make zero deltas common. *)
+let snapshot_pair_gen =
+  let open QCheck2.Gen in
+  let snapshot =
+    list_size (int_range 0 12)
+      (pair (map (Printf.sprintf "c.%02d") (int_range 0 15)) (int_range 0 3))
+    >|= List.sort_uniq (fun (a, _) (b, _) -> String.compare a b)
+  in
+  pair snapshot snapshot
+
+let prop_diff_matches_frozen =
+  qcheck_case ~count:500 "stats-counters: merge diff = table diff"
+    snapshot_pair_gen (fun (before, after) ->
+      Stats_counters.diff before after = frozen_diff before after)
 
 let test_timer_seconds_non_negative () =
   (* Regression: timers once used Unix.gettimeofday, which an NTP step
      can pull backwards mid-measurement; on the monotonic clock elapsed
      time can never be negative. *)
-  let t = Stats_counters.timer "test_obs.timer" in
+  let t = M.timer "test_obs.timer" in
   for _ = 1 to 100 do
-    Stats_counters.time t (fun () -> Sys.opaque_identity (Sys.opaque_identity 0))
+    M.time t (fun () -> Sys.opaque_identity (Sys.opaque_identity 0))
     |> ignore
   done;
-  check cb "accumulated seconds >= 0" true (Stats_counters.seconds t >= 0.)
+  check cb "accumulated seconds >= 0" true (M.value t >= 0.)
 
 let test_clock_monotone () =
   let rec loop prev n =
@@ -659,7 +714,6 @@ let () =
           prop_quantiles_monotone;
           prop_quantile_brackets_value;
           Alcotest.test_case "edge cases" `Quick test_histogram_edges;
-          Alcotest.test_case "registry" `Quick test_histogram_registry;
         ] );
       ( "span",
         [
@@ -715,6 +769,11 @@ let () =
             test_metrics_collector_bridge;
           Alcotest.test_case "expose renders labels" `Quick
             test_prometheus_expose_labeled;
+          Alcotest.test_case "unlabeled counters in name order" `Quick
+            test_metrics_unlabeled_view;
+          Alcotest.test_case "timer samples as NAME_seconds" `Quick
+            test_metrics_timer_sample;
+          prop_record_max_only_raises;
         ] );
       ( "timeseries",
         [
@@ -752,6 +811,7 @@ let () =
           Alcotest.test_case "snapshot/diff" `Quick test_snapshot_diff;
           Alcotest.test_case "diff counts new counters from 0" `Quick
             test_diff_counts_new_counters_from_zero;
+          prop_diff_matches_frozen;
           Alcotest.test_case "timer seconds non-negative" `Quick
             test_timer_seconds_non_negative;
           Alcotest.test_case "monotonic clock" `Quick test_clock_monotone;
