@@ -28,10 +28,13 @@ let warn fmt =
 (* A size flag is checked where it is defined: zero or less is a usage
    error on the shared path, not an [Invalid_argument] from deep inside
    a generator or an all-zero table. *)
-let positive ~zero flag arg =
-  Term.(
-    const (fun v -> if v > zero then v else die "%s must be positive" flag)
-    $ arg)
+let must_be_positive ~zero flag v =
+  if v > zero then v else die "%s must be positive" flag
+
+let positive ~zero flag arg = Term.(const (must_be_positive ~zero flag) $ arg)
+
+let positive_opt flag arg =
+  Term.(const (Option.map (must_be_positive ~zero:0 flag)) $ arg)
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
@@ -51,10 +54,20 @@ let shape_arg =
     & info [ "shape" ] ~docv:"SHAPE"
         ~doc:"Tree shape: $(b,fat) (6-9 children) or $(b,high) (2-4).")
 
-let pre_arg default =
-  Arg.(
-    value & opt int default
-    & info [ "pre" ] ~docv:"E" ~doc:"Number of pre-existing servers.")
+(* --pre is checked against --nodes here, once for every command that
+   draws pre-existing servers, rather than by the generator's
+   [invalid_arg]. *)
+let nodes_pre_args ~nodes ~pre =
+  let check nodes pre =
+    if pre < 0 || pre > nodes then
+      die "--pre must be between 0 and --nodes (%d)" nodes;
+    (nodes, pre)
+  in
+  Term.(
+    const check $ nodes_arg nodes
+    $ Arg.(
+        value & opt int pre
+        & info [ "pre" ] ~docv:"E" ~doc:"Number of pre-existing servers."))
 
 let trees_arg default =
   positive ~zero:0 "--trees"
@@ -77,12 +90,13 @@ let quiet_progress =
     value & flag & info [ "q"; "quiet" ] ~doc:"Suppress progress output.")
 
 let domains_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "j"; "domains" ] ~docv:"D"
-        ~doc:
-          "Domains for parallel per-tree solves (default: the machine's \
-           recommended count). Results are identical at any value.")
+  positive_opt "--domains"
+    Arg.(
+      value & opt (some int) None
+      & info [ "j"; "domains" ] ~docv:"D"
+          ~doc:
+            "Domains for parallel per-tree solves (default: the machine's \
+             recommended count). Results are identical at any value.")
 
 let csv_flag =
   Arg.(

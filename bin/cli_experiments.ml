@@ -68,7 +68,7 @@ let exp3_cmd =
       & info [ "expensive" ]
           ~doc:"Use the Fig. 11 cost function (create=delete=1, changed=0.1).")
   in
-  let run shape trees nodes pre seed expensive quiet csv domains =
+  let run shape trees (nodes, pre) seed expensive quiet csv domains =
     let config =
       {
         (Workload.default_power_config ~shape ~pre ~expensive ()) with
@@ -94,7 +94,7 @@ let exp3_cmd =
        ~doc:
          "Experiment 3 (Fig. 8-11): power minimization under a cost bound.")
     Term.(
-      const run $ shape_arg $ trees_arg 100 $ nodes_arg 50 $ pre_arg 5
+      const run $ shape_arg $ trees_arg 100 $ nodes_pre_args ~nodes:50 ~pre:5
       $ seed_arg $ expensive_arg $ quiet_progress $ csv_flag $ domains_arg)
 
 let policies_cmd =
@@ -142,16 +142,17 @@ let heuristics_cmd =
              test).")
   in
   let setup_domains_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "j"; "domains" ] ~docv:"D"
-          ~doc:
-            "Domains for the untimed setup solves (frontier sweep and \
-             reference optima). The measured heuristic runs stay \
-             sequential, so reported timings remain meaningful; results \
-             are identical at any value.")
+    positive_opt "--domains"
+      Arg.(
+        value & opt (some int) None
+        & info [ "j"; "domains" ] ~docv:"D"
+            ~doc:
+              "Domains for the untimed setup solves (frontier sweep and \
+               reference optima). The measured heuristic runs stay \
+               sequential, so reported timings remain meaningful; \
+               results are identical at any value.")
   in
-  let run shape trees nodes pre seed fraction csv no_time domains =
+  let run shape trees (nodes, pre) seed fraction csv no_time domains =
     let config =
       {
         (Exp_heuristics.default_config ~shape ()) with
@@ -171,7 +172,7 @@ let heuristics_cmd =
          "Ablation: every registered power heuristic (gr-power, \
           hill-climb, multi-start, annealing) vs the DP optimum.")
     Term.(
-      const run $ shape_arg $ trees_arg 20 $ nodes_arg 40 $ pre_arg 4
+      const run $ shape_arg $ trees_arg 20 $ nodes_pre_args ~nodes:40 ~pre:4
       $ seed_arg $ fraction_arg $ csv_flag $ no_time_flag
       $ setup_domains_arg)
 

@@ -44,12 +44,13 @@ let coupling_flag =
            into the next epoch.")
 
 let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "domains" ] ~docv:"D"
-        ~doc:
-          "Domains for the parallel per-shard solves. Placements are \
-           identical at any value.")
+  positive ~zero:0 "--domains"
+    Arg.(
+      value & opt int 1
+      & info [ "j"; "domains" ] ~docv:"D"
+          ~doc:
+            "Domains for the parallel per-shard solves. Placements are \
+             identical at any value.")
 
 let cmd =
   let run shape nodes seed trees objects servers horizon window workload

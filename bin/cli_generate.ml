@@ -20,7 +20,7 @@ let cmd =
       value & opt (some string) None
       & info [ "svg" ] ~docv:"FILE" ~doc:"Also write a standalone SVG rendering.")
   in
-  let run shape nodes pre seed qos bw dot stats svg =
+  let run shape (nodes, pre) seed qos bw dot stats svg =
     let t = make_tree ~shape ~nodes ~pre ~seed ~max_requests:6 ~pre_mode:1 in
     let t = constrain_tree ~qos ~bw ~seed t in
     if stats then begin
@@ -45,5 +45,5 @@ let cmd =
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate and print a random distribution tree.")
     Term.(
-      const run $ shape_arg $ nodes_arg 20 $ pre_arg 0 $ seed_arg $ qos_arg
-      $ bw_arg $ dot_arg $ stats_flag $ svg_arg)
+      const run $ shape_arg $ nodes_pre_args ~nodes:20 ~pre:0 $ seed_arg
+      $ qos_arg $ bw_arg $ dot_arg $ stats_flag $ svg_arg)

@@ -55,8 +55,8 @@ let cmd =
              (default: automatic — on exactly where it is provably \
              exact).")
   in
-  let run shape nodes pre seed qos bw algo bound w verbose stats prune domains
-      trace list_algos =
+  let run shape (nodes, pre) seed qos bw algo bound w verbose stats prune
+      domains trace list_algos =
     if list_algos then print_string (Registry.list_algos ())
     else begin
       setup_logs verbose;
@@ -113,6 +113,6 @@ let cmd =
   Cmd.v
     (Cmd.info "solve" ~doc:"Solve one random instance with a chosen algorithm.")
     Term.(
-      const run $ shape_arg $ nodes_arg 20 $ pre_arg 3 $ seed_arg $ qos_arg
-      $ bw_arg $ algo_arg $ bound_arg $ w_arg $ verbose_flag $ stats_flag
-      $ prune_arg $ domains_arg $ trace_file_arg $ list_algos_flag)
+      const run $ shape_arg $ nodes_pre_args ~nodes:20 ~pre:3 $ seed_arg
+      $ qos_arg $ bw_arg $ algo_arg $ bound_arg $ w_arg $ verbose_flag
+      $ stats_flag $ prune_arg $ domains_arg $ trace_file_arg $ list_algos_flag)

@@ -73,16 +73,6 @@ let placements t = Array.map Engine.placement t.engines
 let epochs_served t = t.epoch
 let solver_name t = Engine.solver_name t.engines.(0)
 
-let count_overloads = function
-  | Ok _ -> 0
-  | Error vs ->
-      List.length
-        (List.filter
-           (function
-             | Solution.Shared_server_overloaded _ -> true
-             | Solution.Shard_violation _ -> false)
-           vs)
-
 let step t views =
   let shard_count = Forest.num_shards t.forest in
   if List.length views <> shard_count then
@@ -112,33 +102,30 @@ let step t views =
     entries;
   let w = t.cfg.engine.Engine.w in
   let pre = placements t in
-  let coupling_overloads, repair_stats, final =
+  let r =
     if t.cfg.coupling then begin
-      let overloads =
-        count_overloads (Forest.validate t.forest ~trees:demands ~w pre)
-      in
-      if overloads = 0 then (0, { Repair.pushdowns = 0; added = 0 }, pre)
-      else begin
-        let r = Repair.repair t.forest ~trees:demands ~w pre in
-        (* Repaired placements (supersets, still per-shard valid) become
-           the state the next epoch's solves start from, even when some
-           overload survives — holding a strictly worse placement helps
-           nothing. *)
-        Array.iteri
-          (fun o sol ->
-            if not (Solution.equal sol pre.(o)) then
-              Engine.override_placement t.engines.(o) demands.(o) sol)
-          r.Repair.placements;
-        (overloads, r.Repair.stats, r.Repair.placements)
-      end
+      let r = Repair.repair t.forest ~trees:demands ~w pre in
+      (* Repaired placements (supersets, still per-shard valid) become
+         the state the next epoch's solves start from, even when some
+         overload survives — holding a strictly worse placement helps
+         nothing. *)
+      Array.iteri
+        (fun o sol ->
+          if not (Solution.equal sol pre.(o)) then
+            Engine.override_placement t.engines.(o) demands.(o) sol)
+        r.Repair.placements;
+      r
     end
-    else (0, { Repair.pushdowns = 0; added = 0 }, pre)
+    else
+      {
+        Repair.placements = pre;
+        stats = { Repair.pushdowns = 0; added = 0 };
+        overloads = 0;
+        unrepaired = 0;
+        server_loads = Forest.server_loads t.forest ~trees:demands pre;
+      }
   in
-  let unrepaired =
-    if t.cfg.coupling && coupling_overloads > 0 then
-      count_overloads (Forest.validate t.forest ~trees:demands ~w final)
-    else 0
-  in
+  let final = r.Repair.placements in
   Array.iteri
     (fun o sol ->
       Metrics.set t.m_shard_servers.(o) (float_of_int (Solution.cardinal sol)))
@@ -148,11 +135,11 @@ let step t views =
   let counters =
     Stats_counters.diff counters_before (Stats_counters.snapshot ())
   in
-  Metrics.add t.m_pushdowns repair_stats.Repair.pushdowns;
-  Metrics.add t.m_repair_added repair_stats.Repair.added;
-  Metrics.add t.m_overloads coupling_overloads;
-  let server_loads = Forest.server_loads t.forest ~trees:demands final in
-  Metrics.set t.m_max_load (float_of_int (Array.fold_left max 0 server_loads));
+  Metrics.add t.m_pushdowns r.Repair.stats.Repair.pushdowns;
+  Metrics.add t.m_repair_added r.Repair.stats.Repair.added;
+  Metrics.add t.m_overloads r.Repair.overloads;
+  let max_server_load = Array.fold_left max 0 r.Repair.server_loads in
+  Metrics.set t.m_max_load (float_of_int max_server_load);
   let epoch_seconds = float_of_int (Clock.now_ns () - t0) *. 1e-9 in
   let solve_latency = Timeline.latency_of_histogram t.lat_h in
   {
@@ -174,11 +161,11 @@ let step t views =
       Array.fold_left
         (fun a (e : Timeline.entry) -> if e.Timeline.valid then a else a + 1)
         0 entries;
-    coupling_overloads;
-    repair_pushdowns = repair_stats.Repair.pushdowns;
-    repair_added = repair_stats.Repair.added;
-    unrepaired;
-    max_server_load = Array.fold_left max 0 server_loads;
+    coupling_overloads = r.Repair.overloads;
+    repair_pushdowns = r.Repair.stats.Repair.pushdowns;
+    repair_added = r.Repair.stats.Repair.added;
+    unrepaired = r.Repair.unrepaired;
+    max_server_load;
     epoch_seconds;
     solve_latency;
     counters;

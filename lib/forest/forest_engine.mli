@@ -11,12 +11,13 @@
     to stepping each engine alone — the forest adds no cross-talk unless
     asked to.
 
-    With [coupling = true] each epoch ends with a cross-object capacity
-    check on the shared physical servers; overloads trigger the
-    {!Repair} push-down pass, and the repaired placements are written
-    back into the shard engines ({!Replica_engine.Engine.override_placement})
-    so the next epoch's solves treat them as pre-existing. Coupled runs
-    require a [handles_coupling] solver (see [solve --list-algos]). *)
+    With [coupling = true] each epoch ends with the {!Repair} push-down
+    pass over the shared physical servers; the repaired placements are
+    written back into the shard engines
+    ({!Replica_engine.Engine.override_placement}) so the next epoch's
+    solves treat them as pre-existing, and the epoch's overload counts
+    and peak load are the ones the pass reports. Coupled runs require
+    a [handles_coupling] solver (see [solve --list-algos]). *)
 
 type config = {
   engine : Replica_engine.Engine.config;  (** per-shard engine config *)
@@ -35,9 +36,9 @@ val create : Forest.t -> config -> t
 
 val step : t -> Tree.t list -> Forest_timeline.entry
 (** Serve one epoch: step every shard engine on its demand view (in
-    parallel), then, when coupling, validate and repair the shared
-    servers and write repaired placements back. The entry's counters
-    are one global snapshot/diff around the whole epoch.
+    parallel), then, when coupling, repair the shared servers and write
+    repaired placements back. The entry's counters are one global
+    snapshot/diff around the whole epoch.
     @raise Invalid_argument if the view count differs from the shard
     count. *)
 

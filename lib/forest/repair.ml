@@ -3,7 +3,9 @@ type stats = { pushdowns : int; added : int }
 type outcome = {
   placements : Solution.t array;
   stats : stats;
-  violations : Solution.forest_violation list;
+  overloads : int;
+  unrepaired : int;
+  server_loads : int array;
 }
 
 (* Load absorbed at each node (0 off the placement) and upward flow
@@ -46,6 +48,10 @@ let repair forest ~trees ~w placements =
   for o = 0 to shard_count - 1 do
     account 1 o
   done;
+  let overloaded () =
+    Array.fold_left (fun n load -> if load > w then n + 1 else n) 0 phys
+  in
+  let overloads = overloaded () in
   let pushdowns = ref 0 and added = ref 0 in
   let progress = ref true in
   while !progress do
@@ -78,7 +84,7 @@ let repair forest ~trees ~w placements =
           loads
       done;
       match !best with
-      | None -> () (* stuck: remaining overloads reported below *)
+      | None -> () (* stuck: the remaining overloads are counted below *)
       | Some (_, o, j) ->
           incr pushdowns;
           let _, flow = evals.(o) in
@@ -93,13 +99,10 @@ let repair forest ~trees ~w placements =
           progress := true
     end
   done;
-  let violations =
-    match Forest.validate forest ~trees ~w sols with
-    | Ok _ -> []
-    | Error vs -> vs
-  in
   {
     placements = sols;
     stats = { pushdowns = !pushdowns; added = !added };
-    violations;
+    overloads;
+    unrepaired = overloaded ();
+    server_loads = phys;
   }

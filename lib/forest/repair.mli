@@ -24,8 +24,10 @@
     node on ties) and terminates: every step adds at least one replica
     and the replica count is bounded by the forest's node count. It can
     fail — a server overloaded by clients attached {e directly} to its
-    replicas cannot shed load by push-down — in which case the
-    remaining violations are reported. *)
+    replicas cannot shed load by push-down — in which case the servers
+    still over [w] are counted in [unrepaired]. The pass keeps every
+    server's load current at each push-down, so its counts and loads
+    are read off that state; the forest is evaluated once. *)
 
 type stats = {
   pushdowns : int;  (** push-down steps performed *)
@@ -36,13 +38,17 @@ type outcome = {
   placements : Solution.t array;
       (** repaired per-shard placements (supersets of the inputs) *)
   stats : stats;
-  violations : Solution.forest_violation list;
-      (** violations surviving repair; empty on success *)
+  overloads : int;  (** physical servers over [w] before repair *)
+  unrepaired : int;
+      (** servers over [w] after repair (0 on success); a push-down can
+          overload a new server, so this may exceed [overloads] *)
+  server_loads : int array;
+      (** load per server after repair ({!Forest.server_loads}) *)
 }
 
 val repair :
   Forest.t -> trees:Tree.t array -> w:int -> Solution.t array -> outcome
 (** [repair forest ~trees ~w placements] with [trees.(o)] the demand
     view shard [o]'s placement was solved against. Runs even if some
-    shard input is per-shard invalid (any such violation simply
-    persists into [violations]). *)
+    shard input is per-shard invalid: its loads still count, as in
+    {!Solution.validate_forest}. *)

@@ -66,10 +66,22 @@ let test_repair_vs_oracle () =
     let trees = demand_views forest in
     let pre = solve_shards trees in
     let name = Printf.sprintf "instance %d" i in
+    let r = Repair.repair forest ~trees ~w pre in
+    (* The counts and loads the pass reads off its own state agree with
+       the independent forest evaluation. *)
+    check ci (name ^ ": overloads before repair")
+      (Frozen_forest.count_overloads (F.validate forest ~trees ~w pre))
+      r.Repair.overloads;
+    check ci (name ^ ": overloads after repair")
+      (Frozen_forest.count_overloads
+         (F.validate forest ~trees ~w r.Repair.placements))
+      r.Repair.unrepaired;
+    check (Alcotest.array ci) (name ^ ": server loads after repair")
+      (F.server_loads forest ~trees r.Repair.placements)
+      r.Repair.server_loads;
     match F.validate forest ~trees ~w pre with
     | Ok _ ->
         (* Nothing to repair: the pass must be the identity. *)
-        let r = Repair.repair forest ~trees ~w pre in
         check ci (name ^ ": no pushdowns") 0 r.Repair.stats.Repair.pushdowns;
         Array.iteri
           (fun o sol ->
@@ -79,11 +91,8 @@ let test_repair_vs_oracle () =
           r.Repair.placements
     | Error _ ->
         incr exercised;
-        let r = Repair.repair forest ~trees ~w pre in
-        check (Alcotest.list Alcotest.unit)
-          (name ^ ": repair clears every violation")
-          []
-          (List.map (fun _ -> ()) r.Repair.violations);
+        check ci (name ^ ": repair clears every overload") 0
+          r.Repair.unrepaired;
         Array.iteri
           (fun o sol ->
             (* Supersets of the solver placements, still per-shard valid. *)
@@ -210,6 +219,124 @@ let test_coupled_counters_exclude_forest () =
             Alcotest.failf "epoch %d counters carry %s" x.FTl.epoch k)
         x.FTl.counters)
     entries
+
+(* --- Forest_engine.step against the frozen coordinator
+   ({!Frozen_forest}) --- *)
+
+(* A small coupled run, tight enough that most epochs overload a shared
+   machine: capacities from 4, demands up to 6 per client, pools
+   barely above the tree size. *)
+let random_coupled_run rng =
+  let nodes = 3 + Rng.int rng 8 in
+  let objects = 1 + Rng.int rng 6 in
+  let forest =
+    F.generate
+      {
+        F.trees = 1 + Rng.int rng (min 3 objects);
+        objects;
+        servers = nodes + Rng.int rng nodes;
+        profile = profile ~nodes ~max_requests:(2 + Rng.int rng 5);
+        seed = Rng.int rng 1_000_000;
+      }
+  in
+  let workload =
+    Rng.choose rng
+      [|
+        FT.Poisson;
+        FT.Diurnal { period = 3.; floor = 0.25 };
+        FT.Flash { multiplier = 3. };
+      |]
+  in
+  let ft =
+    FT.generate forest
+      ~horizon:(float_of_int (3 + Rng.int rng 4))
+      ~seed:(Rng.int rng 1_000_000) workload
+  in
+  let engine =
+    Engine.config
+      ~policy:
+        (Rng.choose rng
+           Update_policy.[| Lazy; Systematic; Periodic 2; Drift 0.1 |])
+      ~solver:(if Rng.bool rng then Engine.Full else Engine.Incremental)
+      ?algo:(Rng.choose rng [| None; Some "greedy" |])
+      ~w:(4 + Rng.int rng 9)
+      (Engine.Min_cost (Cost.basic ~create:0.5 ~delete:0.25 ()))
+  in
+  (forest, engine, FT.epochs ft forest ~window:1.)
+
+(* Each run starts from a zeroed registry, so both see the same counter
+   high-water marks. *)
+let run_epochs create step placements grid =
+  Stats_counters.reset ();
+  let e = create () in
+  List.map
+    (fun views ->
+      let entry = step e views in
+      (entry, placements e))
+    grid
+
+let test_frozen_coordinator () =
+  let seen = Array.make 4 0 in
+  let bump k n = if n > 0 then seen.(k) <- seen.(k) + 1 in
+  for i = 0 to 199 do
+    let forest, engine, grid = random_coupled_run (Rng.create (5000 + i)) in
+    List.iter
+      (fun domains ->
+        let cfg = { FE.engine; coupling = true; domains } in
+        let live =
+          run_epochs (fun () -> FE.create forest cfg) FE.step FE.placements grid
+        in
+        let frozen =
+          run_epochs
+            (fun () -> Frozen_forest.create forest cfg)
+            Frozen_forest.step Frozen_forest.placements grid
+        in
+        List.iter2
+          (fun ((a : FTl.entry), pa) ((b : FTl.entry), pb) ->
+            let name field =
+              Printf.sprintf "run %d, %d domains, epoch %d: %s" i domains
+                b.FTl.epoch field
+            in
+            let same field ex got = check ci (name field) ex got in
+            same "epoch" b.FTl.epoch a.FTl.epoch;
+            same "demand" b.FTl.demand a.FTl.demand;
+            same "reconfigured shards" b.FTl.reconfigured_shards
+              a.FTl.reconfigured_shards;
+            same "servers" b.FTl.servers a.FTl.servers;
+            check Alcotest.int64 (name "step cost bits")
+              (Int64.bits_of_float b.FTl.step_cost)
+              (Int64.bits_of_float a.FTl.step_cost);
+            same "invalid shards" b.FTl.invalid_shards a.FTl.invalid_shards;
+            same "coupling overloads" b.FTl.coupling_overloads
+              a.FTl.coupling_overloads;
+            same "repair pushdowns" b.FTl.repair_pushdowns
+              a.FTl.repair_pushdowns;
+            same "repair added" b.FTl.repair_added a.FTl.repair_added;
+            same "unrepaired" b.FTl.unrepaired a.FTl.unrepaired;
+            same "max server load" b.FTl.max_server_load
+              a.FTl.max_server_load;
+            check
+              Alcotest.(list (pair string int))
+              (name "counters") b.FTl.counters a.FTl.counters;
+            Array.iteri
+              (fun o sol ->
+                check solution_testable
+                  (name (Printf.sprintf "shard %d placement" o))
+                  sol pa.(o))
+              pb;
+            bump 0 a.FTl.coupling_overloads;
+            bump 1 a.FTl.repair_pushdowns;
+            bump 2 a.FTl.unrepaired;
+            bump 3 a.FTl.invalid_shards)
+          live frozen)
+      [ 1; 2 ]
+  done;
+  (* The comparison covers every branch of the coordinator. *)
+  List.iteri
+    (fun k what ->
+      check cb (Printf.sprintf "suite sees epochs with %s" what) true
+        (seen.(k) >= 20))
+    [ "overloads"; "push-downs"; "unrepaired overloads"; "invalid shards" ]
 
 let test_merge_conservation () =
   let forest = small_forest () in
@@ -339,6 +466,11 @@ let () =
             test_decoupled_bit_identity;
           Alcotest.test_case "coupled counters exclude forest series" `Quick
             test_coupled_counters_exclude_forest;
+        ] );
+      ( "frozen",
+        [
+          Alcotest.test_case "coupled coordinator" `Slow
+            test_frozen_coordinator;
         ] );
       ( "trace",
         [
